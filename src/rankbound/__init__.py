@@ -4,12 +4,13 @@ The pipeline: smoothed test functions and their sharp limits (testfn), the
 density kernels F and K with the functional G_psi (kernels), the box zero
 detector and its counting identity (detector), brute-force mollifier
 arithmetic (mollifier), and the assembled bound H(a, delta) whose minimum at
-delta = 1/2 lands just under 6.5 (bound).  All integrals run through the
-adaptive Gauss-Kronrod core in quadrature; special holds the E function the
-closed forms are written in.
+delta = 1/2 lands just under 6.5 (bound).  All integrals use the
+Gauss-Kronrod rule in quadrature; special holds the E function the
+closed forms are written in; checks holds the verification checks that
+`rankbound verify` and the acceptance tests share.
 """
 
-from . import bound, cli, detector, kernels, mollifier, quadrature, special, testfn
+from . import bound, checks, cli, detector, kernels, mollifier, quadrature, special, testfn
 from .bound import BoundReport, h_of_a, minimize
 from .detector import DetectorBox, SyntheticH, lemma6_check
 from .kernels import big_f, big_k, c_const, g_psi
@@ -22,6 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "bound",
+    "checks",
     "cli",
     "detector",
     "kernels",

@@ -71,6 +71,8 @@ def h_of_a(a: float, delta: float, tol: float = 1e-10) -> BoundReport:
     bracket = 3.0 * (g0_one - g0_a) + SERIES_TAIL * (g2_one - g2_a)
     pref = 4.0 * a * a / ((1.0 - a) * (1.0 - a))
     h_val = 0.5 + (1.0 / phi0_hat0) * (1.0 / (a * delta) + pref * bracket)
+    if not math.isfinite(h_val):
+        raise ArithmeticError(f"H({a!r}, {delta!r}) = {h_val!r} is not finite")
     report = BoundReport(
         a=a,
         delta=delta,
@@ -92,7 +94,7 @@ def grid_reports(
     """Reports on the closed grid a_lo, a_lo + step, ... up to a_hi."""
     if not 0.0 < a_lo < a_hi < 1.0:
         raise ValueError("need 0 < a_lo < a_hi < 1")
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError("step must be positive")
     n = int(math.floor((a_hi - a_lo) / step + 1e-9))
     grid = [a_lo + i * step for i in range(n + 1)]

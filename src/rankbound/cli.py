@@ -11,26 +11,17 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
-import random
 import sys
-from dataclasses import dataclass
 
-from . import bound, detector, kernels, mollifier, special, testfn
+from . import bound, checks, detector, kernels, mollifier, testfn
 from .quadrature import QuadratureError, integrate_measure_with_err
 
-__all__ = ["RunConfig", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    tol: float = 1e-10
-    fmt: str = "table"
-    seed: int = 0
-    sieve_limit: int = 1_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed", type=int, default=0, help="seed for the randomized detector suite"
     )
-    common.add_argument("--sieve-limit", type=int, default=1_000_000)
 
     parser = argparse.ArgumentParser(
         prog="rankbound",
@@ -113,14 +103,14 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
-def cmd_constants(cfg: RunConfig) -> int:
+def cmd_constants(args) -> int:
     m0 = testfn.limit_measure(0)
     m1 = testfn.limit_measure(1)
     m2 = testfn.limit_measure(2)
-    hat0, hat0_err = integrate_measure_with_err(lambda x: 1.0, m0, cfg.tol)
-    g0, g0_err = kernels.g_psi(1.0, m0, cfg.tol, with_err=True)
-    g1, g1_err = kernels.g_psi(1.0, m1, cfg.tol, with_err=True)
-    g2, g2_err = kernels.g_psi(1.0, m2, cfg.tol, with_err=True)
+    hat0, hat0_err = integrate_measure_with_err(lambda x: 1.0, m0, args.tol)
+    g0, g0_err = kernels.g_psi(1.0, m0, args.tol, with_err=True)
+    g1, g1_err = kernels.g_psi(1.0, m1, args.tol, with_err=True)
+    g2, g2_err = kernels.g_psi(1.0, m2, args.tol, with_err=True)
     entries = [
         ("phi0_hat_0", hat0, hat0_err),
         ("c", kernels.c_const(), 0.0),
@@ -128,16 +118,16 @@ def cmd_constants(cfg: RunConfig) -> int:
         ("G_abs_dphi_1", g1, g1_err),
         ("G_abs_d2phi_1", g2, g2_err),
     ]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         obj = {}
         for name, val, err in entries:
             obj[name] = _round12(val)
             obj[name + "_err"] = _round12(err)
         _emit(json.dumps(obj, indent=2) + "\n")
     else:
-        digits = 6 if cfg.fmt == "table" else 12
+        digits = 6 if args.fmt == "table" else 12
         rows = [[name, _sig(val, digits), _sig(err, digits)] for name, val, err in entries]
-        render = _table if cfg.fmt == "table" else _csv
+        render = _table if args.fmt == "table" else _csv
         _emit(render(["name", "value", "err_estimate"], rows))
     return 0
 
@@ -155,12 +145,12 @@ _REPORT_FIELDS = (
 )
 
 
-def cmd_bound(args, cfg: RunConfig) -> int:
-    rep = bound.h_of_a(args.a, args.delta, cfg.tol)
+def cmd_bound(args) -> int:
+    rep = bound.h_of_a(args.a, args.delta, args.tol)
     vals = [getattr(rep, f) for f in _REPORT_FIELDS]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit(json.dumps({f: _round12(v) for f, v in zip(_REPORT_FIELDS, vals)}, indent=2) + "\n")
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         _emit(_csv(list(_REPORT_FIELDS), [[_sig(v, 12) for v in vals]]))
     else:
         rows = [[f, _sig(v, 6)] for f, v in zip(_REPORT_FIELDS, vals)]
@@ -168,15 +158,15 @@ def cmd_bound(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_scan(args, cfg: RunConfig) -> int:
-    reports = bound.grid_reports(args.delta, args.a_min, args.a_max, args.step, cfg.tol)
-    a_star, best = bound.minimize(args.delta, args.a_min, args.a_max, args.step, cfg.tol)
+def cmd_scan(args) -> int:
+    reports = bound.grid_reports(args.delta, args.a_min, args.a_max, args.step, args.tol)
+    a_star, best = bound.minimize(args.delta, args.a_min, args.a_max, args.step, args.tol)
 
     def row_of(r) -> list[float]:
         return [r.a, r.H, r.bracket, r.g_phi_a, r.g_phi2_a]
 
     headers = ["a", "H", "bracket", "g_phi_a", "g_phi2_a"]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         obj = {
             "delta": _round12(args.delta),
             "rows": [
@@ -187,12 +177,12 @@ def cmd_scan(args, cfg: RunConfig) -> int:
         obj["minimizer"]["slack_to_6_5"] = _round12(6.5 - best.H)
         _emit(json.dumps(obj, indent=2) + "\n")
     else:
-        digits = 6 if cfg.fmt == "table" else 12
+        digits = 6 if args.fmt == "table" else 12
         rows = [[_sig(v, digits) for v in row_of(r)] for r in reports]
         rows.append([_sig(v, digits) for v in row_of(best)])
-        render = _table if cfg.fmt == "table" else _csv
+        render = _table if args.fmt == "table" else _csv
         _emit(render(headers, rows))
-        if cfg.fmt == "table":
+        if args.fmt == "table":
             _emit(
                 f"minimum (refined, last row): a = {_sig(a_star, 6)}, "
                 f"H = {_sig(best.H, 6)}, slack to 6.5 = {_sig(6.5 - best.H, 6)}\n"
@@ -200,175 +190,94 @@ def cmd_scan(args, cfg: RunConfig) -> int:
     return 0
 
 
-class _Check(list):
-    """Accumulates (name, residual, bound, ok) rows."""
-
-    def add(self, name: str, residual: float, limit: float) -> None:
-        self.append((name, residual, limit, residual <= limit))
-
-    def add_flag(self, name: str, ok: bool) -> None:
-        self.append((name, 0.0 if ok else 1.0, 0.5, ok))
+# The verify suites' cases.  The acceptance tests run the same checks on
+# their own, larger case lists.
+_E_TRIPLES = ((1.0, 2.0, 0.0), (1.0, 2.0, 0.5), (0.48, 1.48, 0.99))
+_LEMMA1_CASES = ((0.48, 0), (0.48, 2), (0.7, 1), (0.25, 0))
+_I_PM_CASES = tuple(itertools.product((0.25, 0.48, 0.7), (0.5, 1.0, 2.0), ("+", "-")))
+_M = 100_000
 
 
-def _suite_identities(cfg: RunConfig, out: _Check) -> None:
-    worst = 0.0
-    for a, b, x in ((1.0, 2.0, 0.0), (1.0, 2.0, 0.5), (0.48, 1.48, 0.99)):
-        worst = max(worst, special.verify_e_identities(a, b, x, cfg.tol))
-    out.add("e_identities (3 pinned triples)", worst, 1e-8)
-
-    worst = max(
-        abs(special.exp_e(x) - special.exp_e_by_quadrature(x))
-        for x in (0.05, 0.3, 1.0, 2.5, 7.0, 30.0)
-    )
-    out.add("e_fast_vs_defining_integral", worst, 1e-9)
-
-    worst = max(
-        abs(
-            special.exp_e_by_quadrature(x)
-            - (math.exp(-x) - x * special.exp_e1_by_quadrature(x))
-        )
-        for x in (0.1, 0.5, 1.0, 3.0, 10.0)
-    )
-    out.add("e_integration_by_parts (both sides quadrature)", worst, 1e-9)
-
-    m0 = testfn.limit_measure(0)
-    m1 = testfn.limit_measure(1)
-    m2 = testfn.limit_measure(2)
-    worst = 0.0
-    for a, psi in ((0.48, m0), (0.48, m2), (0.7, m1), (0.25, m0)):
-        worst = max(worst, kernels.verify_lemma1(a, psi, min(cfg.tol, 1e-8)))
-    out.add("kernel_transform_identity (4 cases)", worst, 1e-6)
-
-    worst = 0.0
-    for a in (0.25, 0.48, 0.7):
-        for u in (0.5, 1.0, 2.0):
-            for sign in ("+", "-"):
-                worst = max(
-                    worst,
-                    abs(kernels.i_pm(a, u, sign) - kernels.i_pm_by_quadrature(a, u, sign)),
-                )
-    out.add("tail_closed_forms (18 cases)", worst, 1e-6)
-
-
-def _fixed_detector_cases() -> list[tuple[detector.SyntheticH, detector.DetectorBox, int]]:
-    # rate 5, c0 = e puts the zero line at x = 0.2 with spacing 2 pi / 5.
-    h = detector.SyntheticH(c0=math.e, rate=5.0)
-    return [
-        (h, detector.DetectorBox(0.1, 0.2, 1.1), 0),
-        (h, detector.DetectorBox(0.1, -0.3, 0.55), 1),
-        (h, detector.DetectorBox(0.1, -0.1, 1.5), 2),
-        (h, detector.DetectorBox(0.1, -1.4, 1.5), 3),
-    ]
-
-
-def _random_detector_case(rng: random.Random):
-    rate = rng.uniform(3.5, 12.0)
-    c0 = math.exp(rng.uniform(math.log(0.2), math.log(8.0)))
-    sp = rng.uniform(-0.8, 0.8)
-    t1 = rng.uniform(-2.0, 1.0)
-    width = rng.uniform(math.pi / rate + 0.3, math.pi / rate + 1.6)
-    return detector.SyntheticH(c0, rate), detector.DetectorBox(sp, t1, t1 + width)
-
-
-def _suite_detector(cfg: RunConfig, out: _Check) -> None:
-    worst = 0.0
-    for h, box, nzeros in _fixed_detector_cases():
-        lhs, rhs, resid = detector.lemma6_check(h, box, min(cfg.tol, 1e-9))
-        inside = [
-            z
-            for z in h.zeros_in(box.t1, box.t2)
-            if z[0] > box.sigma_prime and box.t1 < z[1] < box.t2
-        ]
-        if len(inside) != nzeros:
-            out.add_flag(f"lemma6_fixed_{nzeros}_zeros (zero count)", False)
-            return
-        worst = max(worst, resid)
-    out.add("lemma6_fixed_cases (0..3 planted zeros)", worst, 1e-6)
-
-    rng = random.Random(cfg.seed)
-    worst = 0.0
-    done = 0
-    while done < 50:
-        h, box = _random_detector_case(rng)
-        try:
-            _, _, resid = detector.lemma6_check(h, box, min(cfg.tol, 1e-9))
-        except ValueError:
-            continue  # near-boundary draw; rejected by design, redraw
-        worst = max(worst, resid)
-        done += 1
-    out.add("lemma6_randomized (50 cases)", worst, 1e-6)
-
-    rejected = False
-    h_edge = detector.SyntheticH(c0=math.exp(5.0 * 0.1), rate=5.0)  # zero exactly at sigma'
-    try:
-        detector.lemma6_check(h_edge, detector.DetectorBox(0.1, -0.3, 0.55))
-    except ValueError:
-        rejected = True
-    out.add_flag("lemma6_boundary_zero_rejected", rejected)
-
-    lhs, rhs, resid = detector.lemma6_check(
-        detector.SyntheticH(0.0, 4.0), detector.DetectorBox(0.0, 0.0, 1.0)
-    )
-    out.add_flag("lemma6_unit_h_trivial", lhs == rhs == 0.0)
-
-    box = detector.DetectorBox(0.0, 0.0, 1.0)
-    sg, it1, it2 = detector.shrunk_box(box)
-    corners = [
-        detector.detector_weight(box, sg, it1),
-        detector.detector_weight(box, sg, it2),
-    ]
-    out.add_flag("detector_weight_corner_at_least_1", min(corners) >= 1.0)
-
-
-def _suite_mollifier(cfg: RunConfig, out: _Check) -> None:
-    m_len = min(100_000, cfg.sieve_limit)
-    table = mollifier.ArithTable(m_len)
-    # delta = 0.02 is deliberately absent: at that shift the single combined
-    # closed form is genuinely outside its own declared allowance (its extra
-    # zeta'/zeta ~ -1/(2 delta) collapse is what breaks), while the
-    # three-piece decomposition still is fine.  The acceptance test exercises
-    # the full grid including the red point.
-    deltas = (0.05, 0.1)
-    worst_dec = 0.0
-    worst_closed = 0.0
-    for d in deltas:
-        for t in (0.0, 0.5):
-            p = mollifier.MollifierParams(M=m_len, a=0.5, delta=d, t=t)
-            r = mollifier.s_sums(table, p)
-            worst_dec = max(worst_dec, abs(r.S - (r.S1 + r.S2 + r.S3)))
-            allow = 10.0 * d * float(m_len) ** (-2.0 * 0.5 * d)
-            worst_closed = max(worst_closed, abs(r.S - r.closedS) / allow)
-    out.add("s_decomposition (S = S1+S2+S3)", worst_dec, 1e-12)
-    out.add("s_vs_closed_form (ratio to allowance)", worst_closed, 1.0)
-
-    m_prime = m_len / 2 + 0.5
-    resid = mollifier.truncated_zeta_check(table, m_prime, 0.05)
-    scale = mollifier.truncated_zeta_error_scale(m_prime, 0.05)
-    out.add("truncated_zeta (ratio to 10x scale)", resid / scale, 10.0)
-
-    p = mollifier.MollifierParams(M=m_len, a=0.5, delta=0.05, t=0.5)
-    ok = (
-        mollifier.y_k_bruteforce(table, 4, p) == 0j
-        and mollifier.y_k_bruteforce(table, m_len + 7, p) == 0j
-        and abs(mollifier.y_k_bruteforce(table, 6, p)) > 0.0
-    )
-    out.add_flag("y_k_support (nonsquarefree and k > M vanish)", ok)
-
-
-def cmd_verify(args, cfg: RunConfig) -> int:
-    checks = _Check()
+def _verify_rows(args) -> checks.CheckList:
+    out = checks.CheckList()
     if args.suite in ("identities", "all"):
-        _suite_identities(cfg, checks)
-    if args.suite in ("detector", "all"):
-        _suite_detector(cfg, checks)
-    if args.suite in ("mollifier", "all"):
-        _suite_mollifier(cfg, checks)
-    failures = sum(1 for _, _, _, ok in checks if not ok)
+        out.add(
+            "e_identities (3 pinned triples)", checks.e_identity_worst(_E_TRIPLES, args.tol), 1e-8
+        )
+        out.add(
+            "e_fast_vs_defining_integral",
+            checks.e_quadrature_worst((0.05, 0.3, 1.0, 2.5, 7.0, 30.0)),
+            1e-9,
+        )
+        out.add(
+            "e_integration_by_parts (both sides quadrature)",
+            checks.e_parts_worst((0.1, 0.5, 1.0, 3.0, 10.0)),
+            1e-9,
+        )
+        out.add(
+            "kernel_transform_identity (4 cases)",
+            checks.lemma1_worst(_LEMMA1_CASES, min(args.tol, 1e-8)),
+            1e-6,
+        )
+        out.add("tail_closed_forms (18 cases)", checks.i_pm_worst(_I_PM_CASES), 1e-6)
 
-    if cfg.fmt == "json":
+    if args.suite in ("detector", "all"):
+        tol = min(args.tol, 1e-9)
+        worst, counts = checks.lemma6_sweep(checks.FIXED_DETECTOR_CASES, tol)
+        if counts == [0, 1, 2, 3]:
+            out.add("lemma6_fixed_cases (0..3 planted zeros)", worst, 1e-6)
+        else:
+            out.add_flag("lemma6_fixed_cases (zero count)", False)
+        worst, _ = checks.lemma6_sweep(checks.random_detector_cases(args.seed), tol, n=50)
+        out.add("lemma6_randomized (50 cases)", worst, 1e-6)
+        # c0 = exp(5 * 0.1) puts a zero exactly at sigma' = 0.1
+        h_edge = detector.SyntheticH(c0=math.exp(5.0 * 0.1), rate=5.0)
+        out.add_flag(
+            "lemma6_boundary_zero_rejected",
+            checks.lemma6_rejects(h_edge, detector.DetectorBox(0.1, -0.3, 0.55)),
+        )
+        out.add_flag("lemma6_unit_h_trivial", checks.trivial_h_ok())
+        out.add_flag(
+            "detector_weight_corner_at_least_1",
+            checks.corner_weight_ok(detector.DetectorBox(0.0, 0.0, 1.0)),
+        )
+
+    if args.suite in ("mollifier", "all"):
+        table = mollifier.ArithTable(_M)
+        # delta = 0.02 is deliberately absent: at that shift the single
+        # combined closed form is genuinely outside its own declared
+        # allowance (its extra zeta'/zeta ~ -1/(2 delta) collapse is what
+        # breaks), while the three-piece decomposition still is fine.  The
+        # acceptance test exercises the full grid including the red point.
+        params = [
+            mollifier.MollifierParams(M=_M, a=0.5, delta=d, t=t)
+            for d in (0.05, 0.1)
+            for t in (0.0, 0.5)
+        ]
+        worst_dec, worst_closed = checks.s_sweep(table, params)
+        out.add("s_decomposition (S = S1+S2+S3)", worst_dec, 1e-12)
+        out.add("s_vs_closed_form (ratio to allowance)", worst_closed, 1.0)
+        out.add(
+            "truncated_zeta (ratio to 10x scale)",
+            checks.truncated_zeta_ratio(table, _M / 2 + 0.5, 0.05),
+            10.0,
+        )
+        p = mollifier.MollifierParams(M=_M, a=0.5, delta=0.05, t=0.5)
+        out.add_flag(
+            "y_k_support (nonsquarefree and k > M vanish)",
+            checks.y_k_support_ok(table, p, zero_ks=(4, _M + 7), nonzero_ks=(6,)),
+        )
+    return out
+
+
+def cmd_verify(args) -> int:
+    results = _verify_rows(args)
+    failures = sum(1 for _, _, _, ok in results if not ok)
+
+    if args.fmt == "json":
         obj = {
             "suite": args.suite,
-            "seed": cfg.seed,
+            "seed": args.seed,
             "checks": [
                 {
                     "name": name,
@@ -376,21 +285,21 @@ def cmd_verify(args, cfg: RunConfig) -> int:
                     "bound": _round12(lim),
                     "status": "PASS" if ok else "FAIL",
                 }
-                for name, res, lim, ok in checks
+                for name, res, lim, ok in results
             ],
             "failures": failures,
         }
         _emit(json.dumps(obj, indent=2) + "\n")
     else:
-        digits = 6 if cfg.fmt == "table" else 12
+        digits = 6 if args.fmt == "table" else 12
         rows = [
-            ["PASS" if ok else "FAIL", name, _sig(res, digits), _sig(lim, digits), str(cfg.seed)]
-            for name, res, lim, ok in checks
+            ["PASS" if ok else "FAIL", name, _sig(res, digits), _sig(lim, digits), str(args.seed)]
+            for name, res, lim, ok in results
         ]
-        render = _table if cfg.fmt == "table" else _csv
+        render = _table if args.fmt == "table" else _csv
         _emit(render(["status", "check", "residual", "bound", "seed"], rows))
-        if cfg.fmt == "table":
-            _emit(f"suite {args.suite}: {len(checks) - failures}/{len(checks)} passed\n")
+        if args.fmt == "table":
+            _emit(f"suite {args.suite}: {len(results) - failures}/{len(results)} passed\n")
     return 0 if failures == 0 else 1
 
 
@@ -403,21 +312,17 @@ def main(argv=None) -> int:
     if not _TOL_MIN <= args.tol <= _TOL_MAX:
         print(f"error: --tol must lie in [{_TOL_MIN:g}, {_TOL_MAX:g}]", file=sys.stderr)
         return 2
-    if args.sieve_limit < 2:
-        print("error: --sieve-limit must be at least 2", file=sys.stderr)
-        return 2
-    cfg = RunConfig(tol=args.tol, fmt=args.fmt, seed=args.seed, sieve_limit=args.sieve_limit)
     try:
         if args.command == "constants":
-            return cmd_constants(cfg)
+            return cmd_constants(args)
         if args.command == "bound":
-            return cmd_bound(args, cfg)
+            return cmd_bound(args)
         if args.command == "scan":
-            return cmd_scan(args, cfg)
+            return cmd_scan(args)
         if args.command == "verify":
-            return cmd_verify(args, cfg)
+            return cmd_verify(args)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (ValueError, mollifier.SieveLimitError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, ArithmeticError) as exc:

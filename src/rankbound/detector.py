@@ -5,16 +5,15 @@ form: zeros, boundary values, decay.  lemma6_check evaluates both sides of
 the weighted counting identity on such an h over a box and returns the
 residual; the randomized family built on it is the package's evidence that
 the identity (and hence the detector inequality derived from it) is coded
-correctly.  density_main_term and zt_bound assemble the averaged counting
-weight those detections feed into.
+correctly.  detector_weight and shrunk_box give the normalized counting
+weight of a detected zero and the inner box on which it is at least 1.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from . import kernels
-from .quadrature import DEFAULT_TOL, IntegrationDomain, Measure, integrate
+from .quadrature import IntegrationDomain, integrate
 
 __all__ = [
     "SyntheticH",
@@ -23,8 +22,6 @@ __all__ = [
     "lemma6_check",
     "detector_weight",
     "shrunk_box",
-    "density_main_term",
-    "zt_bound",
 ]
 
 # Enlargement margin mu of the detection box: 2 mu + 1 = pi, the smallest
@@ -223,21 +220,3 @@ def detector_weight(box: DetectorBox, beta: float, gamma: float) -> float:
         / norm
     )
 
-
-def density_main_term(a: float, u: float) -> float:
-    """(a^2/(1-a)^2) (F(1, u) - F(a, u)): the per-height density the detected
-    zeros are averaged against."""
-    if math.isnan(a) or not 0.0 < a < 1.0:
-        raise ValueError("need a in (0, 1)")
-    if math.isnan(u) or u <= 0.0:
-        raise ValueError("need u > 0")
-    pref = a * a / ((1.0 - a) * (1.0 - a))
-    return pref * (kernels.big_f(1.0, u) - kernels.big_f(a, u))
-
-
-def zt_bound(a: float, psi: Measure, tol: float = DEFAULT_TOL) -> float:
-    """The integrated form: (a^2/(1-a)^2) (G_psi(1) - G_psi(a))."""
-    if math.isnan(a) or not 0.0 < a < 1.0:
-        raise ValueError("need a in (0, 1)")
-    pref = a * a / ((1.0 - a) * (1.0 - a))
-    return pref * (kernels.g_psi(1.0, psi, tol) - kernels.g_psi(a, psi, tol))

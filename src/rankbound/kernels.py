@@ -8,7 +8,6 @@ and i_pm gives the closed forms of the normalized one-sided tails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import testfn
 from .quadrature import (
@@ -22,7 +21,6 @@ from .quadrature import (
 from .special import exp_e, exp_e1
 
 __all__ = [
-    "KernelParams",
     "c_const",
     "big_f",
     "big_k",
@@ -31,20 +29,6 @@ __all__ = [
     "i_pm",
     "i_pm_by_quadrature",
 ]
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Averaging point a in (0, 1) and localization scale delta in (0, 1/2]."""
-
-    a: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.a < 1.0:
-            raise ValueError("a must lie in (0, 1)")
-        if not 0.0 < self.delta <= 0.5:
-            raise ValueError("delta must lie in (0, 1/2]")
 
 
 def c_const() -> float:

@@ -1,10 +1,12 @@
 """Adaptive Gauss-Kronrod quadrature and integration against measures.
 
-Every integral in the package funnels through :func:`integrate`.  The rule is
-the classical 15-point Kronrod extension of 7-point Gauss, applied adaptively
-by splitting the current worst panel.  Semi-infinite domains are pulled back
-to (0, 1) with a logarithmic change of variable, which is accurate exactly
-when the integrand decays at least like exp(-t); integrands with slower decay
+Every adaptive integral in the package funnels through :func:`integrate`.
+The rule is the classical 15-point Kronrod extension of 7-point Gauss,
+applied adaptively by splitting the current worst panel;
+:func:`composite_gk15` lays the same rule on fixed equal panels for the
+vectorized callers in testfn.  Semi-infinite domains are pulled back to
+(0, 1) with a logarithmic change of variable, which is accurate exactly when
+the integrand decays at least like exp(-t); integrands with slower decay
 must be rewritten by the caller (several modules do, with a comment at the
 call site).
 
@@ -19,6 +21,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
@@ -154,6 +158,24 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return kron * h, abs(kron - gauss) * h
 
 
+def composite_gk15(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 15-point Kronrod rule on n equal panels of [lo, hi].
+
+    Both are flat numpy arrays, panel after panel with nodes ascending, so an
+    integral over [lo, hi] is ``weights @ f(nodes)``.  Callers that apply one
+    fixed rule to many integrands (convolutions, transform scans) use this
+    instead of the adaptive path.
+    """
+    edges = np.linspace(lo, hi, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    h = 0.5 * (edges[1] - edges[0])
+    xs = np.array([-x for x in _KRONROD_X[:7]] + [0.0] + [x for x in reversed(_KRONROD_X[:7])])
+    ws = np.array(list(_KRONROD_W[:7]) + [_KRONROD_W[7]] + list(reversed(_KRONROD_W[:7])))
+    nodes = (mid[:, None] + h * xs[None, :]).ravel()
+    weights = np.broadcast_to(h * ws[None, :], (n_panels, 15)).ravel()
+    return nodes, weights
+
+
 def _checked(f: Callable[[float], float]) -> Callable[[float], float]:
     def g(x: float) -> float:
         y = f(x)
@@ -283,16 +305,15 @@ def integrate(
 class PiecewiseSmoothFn:
     """A compactly supported function, smooth between listed breakpoints.
 
-    ``pieces[i]`` is a triple of callables (value, first derivative, second
-    derivative) valid on (breakpoints[i], breakpoints[i+1]).  Outside the
-    support the function is identically zero.  ``value_continuous[j]`` records
-    whether the function value is continuous across breakpoint j (counting
-    the jump to zero at the support endpoints); derivative-level kinks are
-    expected and not tracked.
+    ``pieces[i]`` is the callable valid on (breakpoints[i], breakpoints[i+1]).
+    Outside the support the function is identically zero.
+    ``value_continuous[j]`` records whether the function value is continuous
+    across breakpoint j (counting the jump to zero at the support endpoints);
+    derivative-level kinks are expected and not tracked.
     """
 
     breakpoints: tuple[float, ...]
-    pieces: tuple[tuple[Callable, Callable, Callable], ...]
+    pieces: tuple[Callable[[float], float], ...]
     value_continuous: tuple[bool, ...]
 
     def __post_init__(self) -> None:
@@ -310,25 +331,13 @@ class PiecewiseSmoothFn:
     def support(self) -> tuple[float, float]:
         return self.breakpoints[0], self.breakpoints[-1]
 
-    def _piece_index(self, x: float) -> int:
+    def __call__(self, x: float) -> float:
+        if x < self.breakpoints[0] or x > self.breakpoints[-1]:
+            return 0.0
         # Right-continuous convention at interior breakpoints; the last
         # breakpoint maps into the final piece.
         i = bisect.bisect_right(self.breakpoints, x) - 1
-        return min(i, len(self.pieces) - 1)
-
-    def _eval(self, x: float, which: int) -> float:
-        if x < self.breakpoints[0] or x > self.breakpoints[-1]:
-            return 0.0
-        return float(self.pieces[self._piece_index(x)][which](x))
-
-    def __call__(self, x: float) -> float:
-        return self._eval(x, 0)
-
-    def d1(self, x: float) -> float:
-        return self._eval(x, 1)
-
-    def d2(self, x: float) -> float:
-        return self._eval(x, 2)
+        return float(self.pieces[min(i, len(self.pieces) - 1)](x))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,7 @@ from .quadrature import (
     IntegrationDomain,
     Measure,
     PiecewiseSmoothFn,
-    _KRONROD_W,
-    _KRONROD_X,
+    composite_gk15,
     integrate,
     integrate_measure,
 )
@@ -63,10 +62,7 @@ class SmoothingParam:
 def _eps_of(eps) -> float:
     if isinstance(eps, SmoothingParam):
         return eps.eps
-    e = float(eps)
-    if math.isnan(e) or not 0.0 < e <= 0.25:
-        raise ValueError("smoothing width must lie in (0, 1/4]")
-    return e
+    return SmoothingParam(float(eps)).eps
 
 
 def _step_core(y: np.ndarray) -> np.ndarray:
@@ -116,13 +112,7 @@ class _ConvTable:
         self.eps = e
         half = 0.5 + e
         n_panels = max(24, int(math.ceil(2.0 * half / (e / 6.0))))
-        edges = np.linspace(-half, half, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        h = 0.5 * (edges[1] - edges[0])
-        xs = np.array([-x for x in _KRONROD_X[:7]] + [0.0] + [x for x in reversed(_KRONROD_X[:7])])
-        ws = np.array(list(_KRONROD_W[:7]) + [_KRONROD_W[7]] + list(reversed(_KRONROD_W[:7])))
-        self.t = (mid[:, None] + h * xs[None, :]).ravel()
-        w = np.broadcast_to(h * ws[None, :], (n_panels, 15)).ravel()
+        self.t, w = composite_gk15(-half, half, n_panels)
         self.wg = w * _g_core(e, self.t)
         self.wgp = w * _gp_core(e, self.t)
         self.norm = float(self._dot(np.array([0.0]), self.wg, _g_core)[0])
@@ -190,8 +180,6 @@ def phi_eps_deriv(eps, x, order: int):
 #   v   = (1 - x) c
 #   v'  = -c (1 + (1 - x) s)
 #   v'' = 2 c s - (1 - x) c (c^2 - s^2)
-#   v''' = 3 c (c^2 - s^2) + (1 - x) c s (5 c^2 - s^2)
-#   v'''' = -4 c s (5 c^2 - s^2) + (1 - x) c (5 c^4 - 18 c^2 s^2 + s^4)
 # Everything on (-1, 0) follows by the evenness of v.
 
 
@@ -214,24 +202,11 @@ def _d2(x: float) -> float:
     return 2.0 * c * s - (1.0 - x) * c * (c * c - s * s)
 
 
-def _d3(x: float) -> float:
-    c, s = _cs(x)
-    return 3.0 * c * (c * c - s * s) + (1.0 - x) * c * s * (5.0 * c * c - s * s)
-
-
-def _d4(x: float) -> float:
-    c, s = _cs(x)
-    c2, s2 = c * c, s * s
-    return -4.0 * c * s * (5.0 * c2 - s2) + (1.0 - x) * c * (5.0 * c2 * c2 - 18.0 * c2 * s2 + s2 * s2)
-
-
 def phi0_pieces() -> PiecewiseSmoothFn:
-    """The limit (1 - |x|)/cosh x on [-1, 1] with exact piecewise derivatives."""
-    left = (lambda x: _v(-x), lambda x: -_d1(-x), lambda x: _d2(-x))
-    right = (_v, _d1, _d2)
+    """The limit (1 - |x|)/cosh x on [-1, 1]."""
     return PiecewiseSmoothFn(
         breakpoints=(-1.0, 0.0, 1.0),
-        pieces=(left, right),
+        pieces=(lambda x: _v(-x), _v),
         value_continuous=(True, True, True),
     )
 
@@ -248,22 +223,16 @@ def limit_measure(order: int) -> Measure:
     if order == 0:
         return Measure(density=phi0_pieces(), atoms=())
     if order == 1:
-        right = (lambda x: -_d1(x), lambda x: -_d2(x), lambda x: -_d3(x))
-        left = (lambda x: -_d1(-x), lambda x: _d2(-x), lambda x: -_d3(-x))
         density = PiecewiseSmoothFn(
             breakpoints=(-1.0, 0.0, 1.0),
-            pieces=(left, right),
+            pieces=(lambda x: -_d1(-x), lambda x: -_d1(x)),
             value_continuous=(False, True, False),
         )
         return Measure(density=density, atoms=())
     if order == 2:
-        p_outer_r = (_d2, _d3, _d4)
-        p_inner_r = (lambda x: -_d2(x), lambda x: -_d3(x), lambda x: -_d4(x))
-        p_inner_l = (lambda x: -_d2(-x), lambda x: _d3(-x), lambda x: -_d4(-x))
-        p_outer_l = (lambda x: _d2(-x), lambda x: -_d3(-x), lambda x: _d4(-x))
         density = PiecewiseSmoothFn(
             breakpoints=(-1.0, -RHO, 0.0, RHO, 1.0),
-            pieces=(p_outer_l, p_inner_l, p_inner_r, p_outer_r),
+            pieces=(lambda x: _d2(-x), lambda x: -_d2(-x), lambda x: -_d2(x), _d2),
             value_continuous=(False, True, True, True, False),
         )
         sech1 = 1.0 / math.cosh(1.0)
@@ -334,14 +303,7 @@ def check_positivity(eps, grid: PositivityGrid = PositivityGrid(), fn=None, supp
         feature = (hi - lo) / 64.0
         f = fn
     width = min(feature, math.pi / (4.0 * (grid.tau_max + 1.0)))
-    n_panels = int(math.ceil((hi - lo) / width))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    h = 0.5 * (edges[1] - edges[0])
-    xs = np.array([-x for x in _KRONROD_X[:7]] + [0.0] + [x for x in reversed(_KRONROD_X[:7])])
-    ws = np.array(list(_KRONROD_W[:7]) + [_KRONROD_W[7]] + list(reversed(_KRONROD_W[:7])))
-    nodes = (mid[:, None] + h * xs[None, :]).ravel()
-    weights = np.broadcast_to(h * ws[None, :], (n_panels, 15)).ravel()
+    nodes, weights = composite_gk15(lo, hi, int(math.ceil((hi - lo) / width)))
     wphi = weights * np.asarray(f(nodes), dtype=float)
 
     taus = np.arange(0.0, grid.tau_max + 0.5 * grid.tau_step, grid.tau_step)

@@ -7,33 +7,19 @@ comparison at delta = 0.02 is known to exceed its allowance at M = 10^5 and
 is expected to fail; see the module comment on test_criterion_8_closed_form.
 """
 
+import collections
 import math
 import random
 import time
 
 import pytest
 
+from rankbound import checks
 from rankbound.bound import h_of_a, minimize
-from rankbound.detector import DetectorBox, SyntheticH, lemma6_check
-from rankbound.kernels import (
-    big_f,
-    big_k,
-    c_const,
-    g_psi,
-    i_pm,
-    i_pm_by_quadrature,
-    verify_lemma1,
-)
-from rankbound.mollifier import (
-    ArithTable,
-    MollifierParams,
-    s_sums,
-    truncated_zeta_check,
-    truncated_zeta_error_scale,
-    y_k_bruteforce,
-)
-from rankbound.quadrature import IntegrationDomain, integrate, integrate_measure
-from rankbound.special import verify_e_identities
+from rankbound.detector import DetectorBox, SyntheticH
+from rankbound.kernels import big_f, big_k, c_const, g_psi
+from rankbound.mollifier import ArithTable, MollifierParams, s_sums
+from rankbound.quadrature import DEFAULT_TOL, IntegrationDomain, integrate, integrate_measure
 from rankbound.testfn import finite_eps_functional, laplace, limit_measure
 
 
@@ -104,19 +90,21 @@ def test_criterion_6_identity_suite():
     # hypothesis-driven versions of the same identities live in
     # tests/test_special.py and tests/test_kernels.py
     rng = random.Random(0)
-    worst = 0.0
+    triples = []
     for _ in range(40):
         a = rng.uniform(0.2, 1.0)
         b = a + rng.uniform(0.3, 4.0)
         x = rng.uniform(0.05, 0.95) * 2.0 / a  # keeps 2/a - x > 0
-        worst = max(worst, verify_e_identities(a, b, x))
-    for a, order in ((0.3, 0), (0.48, 0), (0.7, 1), (0.48, 2)):
-        worst = max(worst, verify_lemma1(a, limit_measure(order)))
-    for _ in range(40):
-        a = rng.uniform(0.1, 0.95)
-        u = rng.uniform(0.05, 5.0)
-        sign = rng.choice(["+", "-"])
-        worst = max(worst, abs(i_pm(a, u, sign) - i_pm_by_quadrature(a, u, sign)))
+        triples.append((a, b, x))
+    tails = [
+        (rng.uniform(0.1, 0.95), rng.uniform(0.05, 5.0), rng.choice(["+", "-"]))
+        for _ in range(40)
+    ]
+    worst = max(
+        checks.e_identity_worst(triples, DEFAULT_TOL),
+        checks.lemma1_worst(((0.3, 0), (0.48, 0), (0.7, 1), (0.48, 2)), 1e-9),
+        checks.i_pm_worst(tails),
+    )
     for a in (0.48, 0.7, 1.0):
         for x in (-0.5, 0.0, 0.5, 0.9):
             ref = integrate(
@@ -131,41 +119,14 @@ def test_criterion_6_identity_suite():
 
 
 def test_criterion_7_detector_suite():
-    worst = 0.0
-    counts = {}
-    drawn = 0
-    # pinned boxes covering each planted-zero count 0..3
-    h_fixed = SyntheticH(math.e, 5.0)
-    for t1, t2 in ((0.2, 1.1), (-0.3, 0.55), (-0.1, 1.5), (-1.4, 1.5)):
-        box = DetectorBox(0.1, t1, t2)
-        _, _, resid = lemma6_check(h_fixed, box, tol=1e-9)
-        k = len(h_fixed.zeros_in(t1, t2))
-        counts[k] = counts.get(k, 0) + 1
-        worst = max(worst, resid)
-        drawn += 1
-    rng = random.Random(7)
-    while drawn < 54:
-        rate = rng.uniform(3.5, 12.0)
-        c0 = math.exp(rng.uniform(math.log(0.2), math.log(8.0)))
-        sp = rng.uniform(-0.8, 0.8)
-        t1 = rng.uniform(-2.0, 1.0)
-        width = rng.uniform(math.pi / rate + 0.3, math.pi / rate + 1.6)
-        h = SyntheticH(c0, rate)
-        box = DetectorBox(sp, t1, t1 + width)
-        try:
-            _, _, resid = lemma6_check(h, box, tol=1e-9)
-        except ValueError:
-            continue
-        k = len(h.zeros_in(box.t1, box.t2))
-        counts[k] = counts.get(k, 0) + 1
-        worst = max(worst, resid)
-        drawn += 1
+    # pinned boxes covering each planted-zero count 0..3, then 50 random ones
+    fixed_worst, fixed_counts = checks.lemma6_sweep(checks.FIXED_DETECTOR_CASES, 1e-9)
+    rand_worst, rand_counts = checks.lemma6_sweep(checks.random_detector_cases(7), 1e-9, n=50)
+    worst = max(fixed_worst, rand_worst)
+    drawn = len(fixed_counts) + len(rand_counts)
+    counts = collections.Counter(fixed_counts + rand_counts)
     # negative control: a zero sitting on the box boundary must be refused
-    rejected = False
-    try:
-        lemma6_check(SyntheticH(math.e, 5.0), DetectorBox(0.1, -0.3, 0.0))
-    except ValueError:
-        rejected = True
+    rejected = checks.lemma6_rejects(SyntheticH(math.e, 5.0), DetectorBox(0.1, -0.3, 0.0))
     ok = worst < 1e-6 and rejected and drawn >= 50 and {0, 1, 2, 3} <= set(counts)
     _verdict(
         7,
@@ -187,17 +148,12 @@ def big_table():
 
 def test_criterion_8_decomposition_and_support(big_table):
     t0 = time.perf_counter()
-    worst = 0.0
-    for delta in (0.02, 0.05, 0.1):
-        for t in (0.0, 0.5):
-            ss = s_sums(big_table, MollifierParams(100000, 0.5, delta, t))
-            worst = max(worst, abs(ss.S - (ss.S1 + ss.S2 + ss.S3)))
+    params = [
+        MollifierParams(100000, 0.5, delta, t) for delta in (0.02, 0.05, 0.1) for t in (0.0, 0.5)
+    ]
+    worst, _ = checks.s_sweep(big_table, params)
     p = MollifierParams(100000, 0.5, 0.05)
-    support_ok = (
-        y_k_bruteforce(big_table, 4, p) == 0j
-        and y_k_bruteforce(big_table, 12, p) == 0j
-        and y_k_bruteforce(big_table, 100001, MollifierParams(100000, 0.5, 0.05)) == 0j
-    )
+    support_ok = checks.y_k_support_ok(big_table, p, zero_ks=(4, 12, 100001))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-12 and support_ok and dt < 120.0
     _verdict(
@@ -220,9 +176,8 @@ def test_criterion_8_decomposition_and_support(big_table):
 # allowance.
 @pytest.mark.parametrize("delta", [0.02, 0.05, 0.1])
 def test_criterion_8_closed_form(big_table, delta):
-    ss = s_sums(big_table, MollifierParams(100000, 0.5, delta))
-    gap = abs(ss.S - ss.closedS)
-    allow = 10.0 * delta * 100000 ** (-2.0 * 0.5 * delta)
+    p = MollifierParams(100000, 0.5, delta)
+    gap, allow = checks.closed_form_misfit(s_sums(big_table, p), p)
     ok = gap <= allow
     _verdict(
         8,
@@ -233,11 +188,9 @@ def test_criterion_8_closed_form(big_table, delta):
 
 
 def test_criterion_8_truncated_zeta(big_table):
-    worst_ratio = 0.0
-    for delta in (0.02, 0.05, 0.1):
-        resid = truncated_zeta_check(big_table, 5000.5, delta)
-        scale = truncated_zeta_error_scale(5000.5, delta)
-        worst_ratio = max(worst_ratio, resid / scale)
+    worst_ratio = max(
+        checks.truncated_zeta_ratio(big_table, 5000.5, delta) for delta in (0.02, 0.05, 0.1)
+    )
     ok = worst_ratio <= 10.0
     _verdict(8, ok, f"truncation identity worst residual/scale = {worst_ratio:.2f} (<= 10)")
     assert ok

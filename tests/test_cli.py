@@ -104,6 +104,33 @@ def test_scan_table_footer(capsys):
     assert "slack to 6.5" in out
 
 
+# `verify --suite all`: every check's name and bound, in print order.
+VERIFY_CHECKS = [
+    ("e_identities (3 pinned triples)", 1e-08),
+    ("e_fast_vs_defining_integral", 1e-09),
+    ("e_integration_by_parts (both sides quadrature)", 1e-09),
+    ("kernel_transform_identity (4 cases)", 1e-06),
+    ("tail_closed_forms (18 cases)", 1e-06),
+    ("lemma6_fixed_cases (0..3 planted zeros)", 1e-06),
+    ("lemma6_randomized (50 cases)", 1e-06),
+    ("lemma6_boundary_zero_rejected", 0.5),
+    ("lemma6_unit_h_trivial", 0.5),
+    ("detector_weight_corner_at_least_1", 0.5),
+    ("s_decomposition (S = S1+S2+S3)", 1e-12),
+    ("s_vs_closed_form (ratio to allowance)", 1.0),
+    ("truncated_zeta (ratio to 10x scale)", 10.0),
+    ("y_k_support (nonsquarefree and k > M vanish)", 0.5),
+]
+
+
+def test_verify_check_list(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "json", "--tol", "1e-8")
+    assert code == 0
+    data = json.loads(out)
+    assert [(c["name"], c["bound"]) for c in data["checks"]] == VERIFY_CHECKS
+    assert data["failures"] == 0
+
+
 @pytest.mark.parametrize("suite", ["identities", "detector", "mollifier"])
 def test_verify_suites_pass(capsys, suite):
     code, out, _ = run(
@@ -162,8 +189,11 @@ def test_exit_codes(capsys):
     assert code == 2 and err
     code, _, err = run(capsys, "scan", "--a-min", "0.7", "--a-max", "0.3")
     assert code == 2
-    code, _, err = run(capsys, "constants", "--sieve-limit", "1")
-    assert code == 2
+    code, _, err = run(capsys, "scan", "--step", "nan")
+    assert code == 2 and "step must be positive" in err
+    # a non-finite H is a numerical failure, never a printed result
+    code, out, err = run(capsys, "bound", "--a", "0.5", "--delta", "1e-320")
+    assert code == 1 and out == "" and "computation failed" in err
     # argparse-level failures keep their conventional exit code
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2

@@ -3,23 +3,19 @@ is exact, so every case has a closed-form left side to check against."""
 
 import cmath
 import math
-import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rankbound import checks
 from rankbound.detector import (
     MU,
     DetectorBox,
     SyntheticH,
-    density_main_term,
     detector_weight,
     lemma6_check,
     shrunk_box,
-    zt_bound,
 )
-from rankbound.kernels import big_f, g_psi
-from rankbound.testfn import limit_measure
 
 # Weight of a zero sitting exactly on a shrunk-box corner; w cancels, so the
 # value is universal: 2 sinh(1/2) sin(mu) / sin(pi mu / (2 mu + 1)).
@@ -138,27 +134,10 @@ def test_counting_identity_random(rate, logc0, sp, t1, extra):
 
 def test_random_family_covers_zero_counts():
     # deterministic draw; together the cases hit several distinct counts
-    rng = random.Random(7)
-    counts = set()
-    worst = 0.0
-    drawn = 0
-    while drawn < 50:
-        rate = rng.uniform(3.5, 12.0)
-        c0 = math.exp(rng.uniform(math.log(0.2), math.log(8.0)))
-        sp = rng.uniform(-0.8, 0.8)
-        t1 = rng.uniform(-2.0, 1.0)
-        width = rng.uniform(math.pi / rate + 0.3, math.pi / rate + 1.6)
-        h = SyntheticH(c0, rate)
-        box = DetectorBox(sp, t1, t1 + width)
-        try:
-            _, _, resid = lemma6_check(h, box, tol=1e-9)
-        except ValueError:
-            continue
-        counts.add(len(h.zeros_in(box.t1, box.t2)))
-        worst = max(worst, resid)
-        drawn += 1
+    worst, counts = checks.lemma6_sweep(checks.random_detector_cases(7), 1e-9, n=50)
+    assert len(counts) == 50
     assert worst < 1e-6
-    assert len(counts) >= 3
+    assert len(set(counts)) >= 3
 
 
 def test_shrunk_box_geometry():
@@ -184,23 +163,3 @@ def test_weight_at_least_one_inside_shrunk_box():
             gamma = it1 + (it2 - it1) * j / 8.0
             assert detector_weight(box, beta, gamma) >= 1.0 - 1e-12
 
-
-def test_density_main_term():
-    for a, u in ((0.48, 0.7), (0.3, 2.0), (0.9, 1.1)):
-        got = density_main_term(a, u)
-        pref = a * a / ((1.0 - a) * (1.0 - a))
-        assert got == pytest.approx(pref * (big_f(1.0, u) - big_f(a, u)), abs=1e-15)
-        assert got > 0.0
-    with pytest.raises(ValueError):
-        density_main_term(1.0, 0.5)
-
-
-def test_zt_bound_consistent_with_g():
-    m0 = limit_measure(0)
-    a = 0.48
-    pref = a * a / ((1.0 - a) * (1.0 - a))
-    want = pref * (g_psi(1.0, m0) - g_psi(a, m0))
-    assert zt_bound(a, m0) == pytest.approx(want, abs=1e-12)
-    assert zt_bound(a, m0) == pytest.approx(
-        pref * (0.153536030502640879525 - 0.0481271471173599803544), abs=2e-9
-    )

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankbound.kernels import (
-    KernelParams,
     big_f,
     big_k,
     c_const,
@@ -54,13 +53,6 @@ G_AT = {
 def test_c_const():
     assert c_const() == pytest.approx(C_CONST, abs=1e-13)
     assert c_const() == pytest.approx(4.0 * math.pi * math.cos(0.5), abs=1e-13)
-
-
-def test_kernel_params_validation():
-    KernelParams(0.48, 0.5)
-    for a, d in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 0.6)):
-        with pytest.raises(ValueError):
-            KernelParams(a, d)
 
 
 def test_f_frozen_values():

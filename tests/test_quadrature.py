@@ -140,13 +140,12 @@ def test_linearity(alpha, beta):
 
 def _tent():
     # 1 - |x| on [-1, 1]
-    left = (lambda x: 1.0 + x, lambda x: 1.0, lambda x: 0.0)
-    right = (lambda x: 1.0 - x, lambda x: -1.0, lambda x: 0.0)
-    return PiecewiseSmoothFn((-1.0, 0.0, 1.0), (left, right), (True, True, True))
+    pieces = (lambda x: 1.0 + x, lambda x: 1.0 - x)
+    return PiecewiseSmoothFn((-1.0, 0.0, 1.0), pieces, (True, True, True))
 
 
 def test_piecewise_fn_validation():
-    piece = (lambda x: 1.0, lambda x: 0.0, lambda x: 0.0)
+    piece = lambda x: 1.0
     with pytest.raises(ValueError):
         PiecewiseSmoothFn((0.0,), (), ())
     with pytest.raises(ValueError):
@@ -158,17 +157,13 @@ def test_piecewise_fn_validation():
 
 
 def test_piecewise_fn_routing():
-    one = (lambda x: 1.0, lambda x: 10.0, lambda x: 100.0)
-    two = (lambda x: 2.0, lambda x: 20.0, lambda x: 200.0)
-    f = PiecewiseSmoothFn((0.0, 1.0, 2.0), (one, two), (False, False, False))
+    f = PiecewiseSmoothFn((0.0, 1.0, 2.0), (lambda x: 1.0, lambda x: 2.0), (False, False, False))
     assert f.support == (0.0, 2.0)
     assert f(0.5) == 1.0
     assert f(1.0) == 2.0  # right-continuous at interior breakpoints
     assert f(1.5) == 2.0
     assert f(2.0) == 2.0  # top endpoint belongs to the last piece
     assert f(-0.1) == 0.0 and f(2.1) == 0.0
-    assert f.d1(0.5) == 10.0 and f.d2(1.5) == 200.0
-    assert f.d1(5.0) == 0.0
 
 
 def test_measure_validation():

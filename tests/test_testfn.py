@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankbound import testfn
 from rankbound.testfn import (
     RHO,
     PositivityGrid,
@@ -90,25 +91,33 @@ def test_phi0_closed_form():
     assert f(1.0) == pytest.approx(0.0, abs=1e-15)
     assert f(0.5) == pytest.approx(0.5 / math.cosh(0.5), abs=1e-15)
     assert f(-0.5) == f(0.5)
-    # slope jumps by -2 across the origin
-    assert f.d1(-1e-12) == pytest.approx(1.0, abs=1e-9)
-    assert f.d1(1e-12) == pytest.approx(-1.0, abs=1e-9)
+    # slope jumps by -2 across the origin: |phi0'| is 1 on both sides, and
+    # the order-2 limit carries the jump as an atom of mass 2 at 0
+    h = 1e-7
+    slope = limit_measure(1).density
+    assert (f(0.0) - f(-h)) / h == pytest.approx(slope(-1e-12), abs=1e-6)
+    assert (f(h) - f(0.0)) / h == pytest.approx(-slope(1e-12), abs=1e-6)
+    assert slope(-1e-12) == pytest.approx(1.0, abs=1e-9)
+    assert slope(1e-12) == pytest.approx(1.0, abs=1e-9)
+    assert dict(limit_measure(2).atoms)[0.0] == 2.0
 
 
 @pytest.mark.parametrize("x", [-0.85, -0.3, 0.2, 0.6, 0.95])
 def test_phi0_derivatives_match_finite_differences(x):
+    # the limit densities are |phi0'| and |phi0''|; phi0' has the sign of
+    # -x and phi0'' is negative inside (-RHO, RHO), positive outside
     f = phi0_pieces()
     h = 1e-5
     d1 = (f(x + h) - f(x - h)) / (2.0 * h)
     d2 = (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-    assert f.d1(x) == pytest.approx(d1, abs=1e-8)
-    assert f.d2(x) == pytest.approx(d2, abs=1e-4)
+    sign2 = 1.0 if abs(x) > RHO else -1.0
+    assert -math.copysign(1.0, x) * limit_measure(1).density(x) == pytest.approx(d1, abs=1e-8)
+    assert sign2 * limit_measure(2).density(x) == pytest.approx(d2, abs=1e-4)
 
 
 def test_rho_is_the_inflection_of_phi0():
-    f = phi0_pieces()
-    assert f.d2(RHO - 1e-6) * f.d2(RHO + 1e-6) < 0.0
-    assert abs(f.d2(RHO)) < 1e-9
+    assert testfn._d2(RHO - 1e-6) * testfn._d2(RHO + 1e-6) < 0.0
+    assert abs(testfn._d2(RHO)) < 1e-9
 
 
 def test_limit_measure_shapes():
