@@ -10,7 +10,9 @@ closed forms are written in; checks holds the verification checks that
 `rankbound verify` and the acceptance tests share.
 """
 
-from . import bound, checks, cli, detector, kernels, mollifier, quadrature, special, testfn
+import importlib
+
+from . import bound, checks, detector, kernels, mollifier, quadrature, special, testfn
 from .bound import BoundReport, h_of_a, minimize
 from .detector import DetectorBox, SyntheticH, lemma6_check
 from .kernels import big_f, big_k, c_const, g_psi
@@ -53,3 +55,11 @@ __all__ = [
     "phi_eps",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # cli is imported on first access, not with the package, so that
+    # `python -m rankbound.cli` runs it once as __main__ without a warning.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -95,8 +95,9 @@ def random_detector_cases(seed: int):
 def lemma6_sweep(cases, tol: float, n: int | None = None) -> tuple[float, list[int]]:
     """Worst lemma-6 residual over cases, and each checked case's zero count.
 
-    The zero count of a case is the number of zeros of h with heights in
-    [t1, t2].  Without ``n`` every case is checked and a rejected one raises;
+    The zero count of a case is the number of zeros of h strictly inside
+    its box (x > sigma', t1 < y < t2), the zeros lemma6_check's left side
+    sums over.  Without ``n`` every case is checked and a rejected one raises;
     with ``n`` the cases lemma6_check rejects (ValueError) are skipped until n
     have been checked.
     """
@@ -111,7 +112,9 @@ def lemma6_sweep(cases, tol: float, n: int | None = None) -> tuple[float, list[i
             if n is None:
                 raise
             continue
-        counts.append(len(h.zeros_in(box.t1, box.t2)))
+        counts.append(
+            sum(x > box.sigma_prime and box.t1 < y < box.t2 for x, y in h.zeros_in(box.t1, box.t2))
+        )
         worst = max(worst, resid)
     return worst, counts
 

@@ -1,9 +1,9 @@
 """Brute-force arithmetic side: sieves, mollifier coefficients, and the
 quadratic sums S, S1, S2, S3 with their closed-form main terms.
 
-Everything here is finite and exact-ish (double sums over integers), which
-is the point: the analytic closed forms elsewhere in the pipeline are
-verified against literal summation at concrete M.
+Everything here is a finite sum over the integers up to M, vectorized over
+the sieved tables, which is the point: the analytic closed forms elsewhere
+in the pipeline are verified against these exact sums at concrete M.
 """
 from __future__ import annotations
 
@@ -16,9 +16,7 @@ import numpy as np
 __all__ = [
     "MollifierParams",
     "ArithTable",
-    "SieveLimitError",
     "SSums",
-    "arith",
     "g_cap",
     "y_k_bruteforce",
     "s_sums",
@@ -26,10 +24,6 @@ __all__ = [
     "truncated_zeta_error_scale",
     "zeta_vals",
 ]
-
-
-class SieveLimitError(ValueError):
-    """An argument exceeded the ArithTable's sieve limit."""
 
 
 @dataclass(frozen=True)
@@ -53,9 +47,9 @@ class MollifierParams:
 class ArithTable:
     """Smallest-prime-factor sieve up to ``limit`` with Mobius values.
 
-    Built once, then factorization of any n <= limit is a short division
-    chain.  The multiplicative tables (omega, the base weights) are sieved
-    as numpy vectors and cached per exponent.
+    The sieve yields the primes; the Mobius values and the multiplicative
+    tables (omega, the base weights) are sieved from them as numpy vectors,
+    the latter two cached per exponent.
     """
 
     def __init__(self, limit: int) -> None:
@@ -86,20 +80,7 @@ class ArithTable:
 
     def check_n(self, n: int) -> None:
         if not 1 <= n <= self.limit:
-            raise SieveLimitError(f"n = {n} outside sieve range [1, {self.limit}]")
-
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        """Prime factorization [(p, exponent), ...] in increasing p."""
-        self.check_n(n)
-        out = []
-        while n > 1:
-            p = int(self.spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
+            raise ValueError(f"n = {n} outside sieve range [1, {self.limit}]")
 
     def omega_table(self, s: float) -> np.ndarray:
         """omega_s(k) = prod over p | k of (1 - p^-s)^-1, for all k <= limit."""
@@ -124,43 +105,6 @@ class ArithTable:
             self._base_cache[delta] = vec
         return vec
 
-    def divisors(self, n: int) -> list[int]:
-        divs = [1]
-        for p, e in self.factorize(n):
-            divs = [d * p**j for d in divs for j in range(e + 1)]
-        return divs
-
-
-def arith(table: ArithTable, n: int, v: float) -> tuple[float, float, float]:
-    """(omega_v(n), nu_v(n), eta_v(n)) for a single n.
-
-    omega_v(n) = prod over p | n of (1 - p^-v)^-1 (inf if some factor
-    vanishes, e.g. v = 0).  nu_v(n) = (1/n) prod over p | n of
-    (1 - p^-(1+2v)) for squarefree n and 0 otherwise (the mu(n)^2 factor is
-    folded in).  eta_v(n) = sum over factorizations n = u w of (u/w)^{i v},
-    which the divisor pairing makes real: sum of cos(v log(u^2/n)).
-    """
-    table.check_n(n)
-    fac = table.factorize(n)
-    omega = 1.0
-    for p, _ in fac:
-        d = 1.0 - float(p) ** (-v)
-        if d == 0.0:
-            omega = math.inf
-            break
-        omega *= 1.0 / d
-    if any(e > 1 for _, e in fac):
-        nu = 0.0
-    else:
-        nu = 1.0 / n
-        for p, _ in fac:
-            nu *= 1.0 - float(p) ** (-(1.0 + 2.0 * v))
-    log_n = math.log(n) if n > 1 else 0.0
-    eta = 0.0
-    for u in table.divisors(n):
-        eta += math.cos(v * (2.0 * math.log(u) - log_n))
-    return omega, nu, eta
-
 
 def g_cap(M: float, a: float, x: float) -> float:
     """Logarithmic taper: 1 up to M^a, log-linear down to 0 at M."""
@@ -176,13 +120,23 @@ def g_cap(M: float, a: float, x: float) -> float:
 
 
 def y_k_bruteforce(table: ArithTable, k: int, p: MollifierParams) -> complex:
-    """The mollifier coefficient y_k by literal double summation.
+    """The mollifier coefficient y_k, summed exactly over the integers.
 
-    y_k = mu(k) k^{-delta - i t} * sum over m, n with k m n <= M of
-    mu(k m n)^2 mu(m) eta_t(m) n^{-i t} (m n)^{-(1 + 2 delta + i t)}
-    g(k m n), with g the taper.  Exactly zero for k > M and for k not
-    squarefree.  The inner n-sum is vectorized; the outer m-sum stays a
-    loop because eta_t(m) needs m's divisors.
+    By definition y_k = mu(k) k^{-delta - i t} * sum over m, n with
+    k m n <= M of mu(k m n)^2 mu(m) eta_t(m) n^{-i t}
+    (m n)^{-(1 + 2 delta + i t)} g(k m n), with g the taper and
+    eta_t(m) = sum over m = u w of (u/w)^{i t}.  Grouping by j = m n
+    leaves the inner sum over m n = j of mu(m) eta_t(m) n^{-i t}, which
+    equals mu(j) j^{i t} for squarefree j: both sides are multiplicative,
+    and at a prime p the left side is p^{-i t} - (p^{i t} + p^{-i t}) =
+    -p^{i t}.  So eta_t drops out and
+
+        y_k = mu(k) k^{-delta - i t} * sum over j <= M/k with k j
+              squarefree of mu(j) j^{-(1 + 2 delta)} g(k j),
+
+    one real sum.  Exactly zero for k > M and for k not squarefree.  The
+    name is kept because the benchmark workloads call it and its tracer
+    labels it by it.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -193,29 +147,11 @@ def y_k_bruteforce(table: ArithTable, k: int, p: MollifierParams) -> complex:
     if table.mu[k] == 0:
         return 0j
     mu = table.mu
-    ln_m = math.log(M)
-    ramp = (a - 1.0) * ln_m
-    total = 0j
-    for m in range(1, M // k + 1):
-        km = k * m
-        if mu[km] == 0:
-            continue
-        _, _, eta_m = arith(table, m, t)
-        nmax = M // km
-        ns = np.arange(1, nmax + 1)
-        ns = ns[mu[km * ns] != 0]
-        if ns.size == 0:
-            continue
-        mn = (m * ns).astype(float)
-        mag = mn ** (-(1.0 + 2.0 * delta))
-        if t != 0.0:
-            phase = np.exp(-1j * t * (np.log(ns.astype(float)) + np.log(mn)))
-        else:
-            phase = 1.0
-        kmn = (km * ns).astype(float)
-        taper = np.clip(np.log(kmn / M) / ramp, 0.0, 1.0)
-        inner = np.sum(mag * phase * taper)
-        total += int(mu[m]) * eta_m * inner
+    js = np.arange(1, M // k + 1)
+    js = js[mu[k * js] != 0]
+    j = js.astype(float)
+    taper = np.clip(np.log(k * j / M) / ((a - 1.0) * math.log(M)), 0.0, 1.0)
+    total = float(np.sum(mu[js] * j ** (-(1.0 + 2.0 * delta)) * taper))
     pref = int(mu[k]) * float(k) ** (-delta) * complex(math.cos(t * math.log(k)), -math.sin(t * math.log(k)))
     return pref * total
 

@@ -47,6 +47,10 @@ MAX_INTERVALS = 1_000_000
 # truncation.
 _WIDTH_FLOOR = 1e-15
 
+# On rays, integrand magnitudes under this are treated as exact zeros, which
+# stops the change of variable from chasing noise in the far tail.
+_TRUNCATE_BELOW = 1e-300
+
 # 15-point Kronrod nodes on [-1, 1] (nonnegative half; the rule is symmetric)
 # with their weights, and the weights of the embedded 7-point Gauss rule.
 # Gauss nodes are the Kronrod nodes with odd index plus the center.
@@ -117,28 +121,16 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class IntegrationDomain:
-    """Finite interval [lo, hi] or semi-infinite ray [lo, inf).
-
-    ``truncate_below`` only matters on rays: integrand magnitudes under it are
-    treated as exact zeros, which stops the change of variable from chasing
-    noise in the far tail.
-    """
+    """Finite interval [lo, hi] or semi-infinite ray [lo, inf)."""
 
     lo: float
     hi: float = math.inf
-    truncate_below: float = 1e-300
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.lo):
             raise ValueError("lower endpoint must be finite")
         if math.isnan(self.hi) or not self.hi > self.lo:
             raise ValueError("need hi > lo")
-        if self.truncate_below < 0.0:
-            raise ValueError("truncation threshold must be nonnegative")
-
-    @property
-    def kind(self) -> str:
-        return "semi-infinite" if math.isinf(self.hi) else "finite"
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -276,9 +268,8 @@ def integrate(
     """
     if tol <= 0.0 or math.isnan(tol):
         raise ValueError("tolerance must be positive")
-    if domain.kind == "semi-infinite":
+    if math.isinf(domain.hi):
         lo = domain.lo
-        tiny = domain.truncate_below
 
         def mapped(u: float) -> float:
             # t = lo - log(1 - u) sends (0, 1) onto (lo, inf).  Deep
@@ -291,7 +282,7 @@ def integrate(
             ft = f(t)
             if not math.isfinite(ft):
                 raise EvaluationError(t, ft)
-            if abs(ft) < tiny:
+            if abs(ft) < _TRUNCATE_BELOW:
                 return 0.0
             return ft / (1.0 - u)
 

@@ -1,9 +1,14 @@
 """Command line entry point: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rankbound
 from rankbound.cli import main
 
 CONSTANT_KEYS = [
@@ -199,3 +204,17 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _, _ = run(capsys, "verify", "--suite", "bogus")
     assert code == 2
+
+
+def test_module_run_is_quiet(capsys):
+    # `python -m rankbound.cli` must not find the module already imported by
+    # the package, which makes runpy warn on stderr
+    argv = ["bound", "--a", "0.48", "--delta", "0.5"]
+    src = str(Path(rankbound.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankbound.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run(capsys, *argv)[1]

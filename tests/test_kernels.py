@@ -171,11 +171,6 @@ def test_i_pm_large_argument():
     assert i_pm(0.9, 150.0, "-") > 0.0
 
 
-def test_i_pm_self_check_passes():
-    i_pm(0.48, 0.7, "+", verify=True)
-    i_pm(0.48, 0.7, "-", verify=True)
-
-
 @given(
     st.floats(0.1, 0.95),
     st.floats(0.05, 5.0),

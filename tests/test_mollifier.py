@@ -10,13 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from rankbound.mollifier import (
     ArithTable,
     MollifierParams,
-    SieveLimitError,
-    arith,
     g_cap,
     s_sums,
     truncated_zeta_check,
@@ -68,17 +65,17 @@ def _trial_mu(n):
 
 
 def test_sieve_against_trial_division(small_table):
-    for n in range(1, 201):
-        assert small_table.factorize(n) == _trial_factorize(n)
+    for n in range(1, 401):
         assert int(small_table.mu[n]) == _trial_mu(n)
-        divs = small_table.divisors(n)
-        assert sorted(divs) == [d for d in range(1, n + 1) if n % d == 0]
+    assert small_table.primes.tolist() == [
+        n for n in range(2, 401) if _trial_factorize(n) == [(n, 1)]
+    ]
 
 
 def test_sieve_limits(small_table):
-    with pytest.raises(SieveLimitError):
-        small_table.factorize(401)
-    with pytest.raises(SieveLimitError):
+    with pytest.raises(ValueError):
+        small_table.check_n(401)
+    with pytest.raises(ValueError):
         small_table.check_n(0)
     with pytest.raises(ValueError):
         ArithTable(1)
@@ -89,36 +86,6 @@ def test_params_validation():
     for M, a, d in ((9, 0.5, 0.05), (100, 0.0, 0.05), (100, 1.0, 0.05), (100, 0.5, 0.0)):
         with pytest.raises(ValueError):
             MollifierParams(M, a, d)
-
-
-def test_arith_closed_forms(small_table):
-    # n = 6, v = 1/2: two prime factors, squarefree
-    omega, nu, eta = arith(small_table, 6, 0.5)
-    want_omega = 1.0 / ((1.0 - 2.0**-0.5) * (1.0 - 3.0**-0.5))
-    want_nu = (1.0 - 2.0**-2.0) * (1.0 - 3.0**-2.0) / 6.0
-    want_eta = sum(
-        math.cos(0.5 * (2.0 * math.log(u) - math.log(6.0))) for u in (1, 2, 3, 6)
-    )
-    assert omega == pytest.approx(want_omega, abs=1e-14)
-    assert nu == pytest.approx(want_nu, abs=1e-16)
-    assert eta == pytest.approx(want_eta, abs=1e-14)
-
-    # v = 0 blows up omega, kills nothing else; 12 is not squarefree
-    omega, nu, eta = arith(small_table, 12, 0.0)
-    assert omega == math.inf
-    assert nu == 0.0
-    assert eta == 6.0  # tau(12)
-
-
-@given(st.integers(2, 400), st.floats(-2.0, 2.0))
-@settings(max_examples=80, deadline=None)
-def test_eta_bounded_by_divisor_count(n, v):
-    tbl = ArithTable(400)
-    _, _, eta = arith(tbl, n, v)
-    tau = len(tbl.divisors(n))
-    assert abs(eta) <= tau + 1e-12
-    _, _, eta0 = arith(tbl, n, 0.0)
-    assert eta0 == tau
 
 
 def test_g_cap_shape():
@@ -140,7 +107,8 @@ def test_g_cap_shape():
 
 
 def _y_k_naive(table, k, p):
-    # literal triple loop straight from the definition; slow but transparent
+    # literal triple loop straight from the definition, eta_t(m) as the sum
+    # over m = u w of (u/w)^{i t}; slow but transparent
     M, a, delta, t = p.M, p.a, p.delta, p.t
     mu = table.mu
     if k > M or mu[k] == 0:
@@ -149,14 +117,15 @@ def _y_k_naive(table, k, p):
     for m in range(1, M // k + 1):
         if mu[m] == 0:
             continue
+        eta = sum(
+            math.cos(t * (2.0 * math.log(u) - math.log(m)))
+            for u in range(1, m + 1)
+            if m % u == 0
+        )
         for n in range(1, M // (k * m) + 1):
             kmn = k * m * n
             if mu[kmn] == 0:
                 continue
-            eta = sum(
-                math.cos(t * (2.0 * math.log(u) - math.log(m)))
-                for u in table.divisors(m)
-            )
             g = g_cap(float(M), a, float(kmn))
             term = (
                 int(mu[m])
@@ -169,12 +138,13 @@ def _y_k_naive(table, k, p):
     return int(mu[k]) * k ** complex(-delta, -t) * total
 
 
-@pytest.mark.parametrize("k", [1, 2, 6, 9, 15])
+@pytest.mark.parametrize("k", [1, 2, 6, 9, 15, 30, 77, 101, 199])
 def test_y_k_against_naive_sum(small_table, k):
-    p = MollifierParams(200, 0.5, 0.07, t=0.5)
-    got = y_k_bruteforce(small_table, k, p)
-    want = _y_k_naive(small_table, k, p)
-    assert cmath.isclose(got, want, abs_tol=1e-12) or got == want == 0j
+    for t in (0.0, 0.5):
+        p = MollifierParams(200, 0.5, 0.07, t=t)
+        got = y_k_bruteforce(small_table, k, p)
+        want = _y_k_naive(small_table, k, p)
+        assert cmath.isclose(got, want, abs_tol=1e-12) or got == want == 0j
 
 
 def test_y_k_support(small_table):
