@@ -13,13 +13,6 @@ closed forms are written in; checks holds the verification checks that
 import importlib
 
 from . import bound, checks, detector, kernels, mollifier, quadrature, special, testfn
-from .bound import BoundReport, h_of_a, minimize
-from .detector import DetectorBox, SyntheticH, lemma6_check
-from .kernels import big_f, big_k, c_const, g_psi
-from .mollifier import ArithTable, MollifierParams
-from .quadrature import IntegrationDomain, Measure, integrate, integrate_measure
-from .special import exp_e
-from .testfn import SmoothingParam, limit_measure, phi_eps
 
 __version__ = "0.1.0"
 
@@ -33,26 +26,6 @@ __all__ = [
     "quadrature",
     "special",
     "testfn",
-    "BoundReport",
-    "h_of_a",
-    "minimize",
-    "DetectorBox",
-    "SyntheticH",
-    "lemma6_check",
-    "big_f",
-    "big_k",
-    "c_const",
-    "g_psi",
-    "ArithTable",
-    "MollifierParams",
-    "IntegrationDomain",
-    "Measure",
-    "integrate",
-    "integrate_measure",
-    "exp_e",
-    "SmoothingParam",
-    "limit_measure",
-    "phi_eps",
     "__version__",
 ]
 

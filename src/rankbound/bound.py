@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 from . import kernels, testfn
 
-__all__ = ["BoundReport", "h_of_a", "minimize", "grid_reports", "SERIES_TAIL"]
+__all__ = ["BoundReport", "h_of_a", "minimize", "grid_reports", "SERIES_TAIL", "MAX_GRID_POINTS"]
 
 # sum over n >= 3 of n^{-2}; the weight the second-derivative block enters with
 SERIES_TAIL = math.pi * math.pi / 6.0 - 1.25
+
+# Largest scan grid; each point costs two g_psi evaluations.
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,10 @@ def grid_reports(
         raise ValueError("need 0 < a_lo < a_hi < 1")
     if not step > 0.0:
         raise ValueError("step must be positive")
-    n = int(math.floor((a_hi - a_lo) / step + 1e-9))
+    span = (a_hi - a_lo) / step + 1e-9
+    if span >= MAX_GRID_POINTS:  # the grid has floor(span) + 1 points
+        raise ValueError(f"grid too large: more than {MAX_GRID_POINTS} points")
+    n = math.floor(span)
     grid = [a_lo + i * step for i in range(n + 1)]
     if not grid:
         raise ValueError("empty scan grid")

@@ -75,7 +75,6 @@ class ArithTable:
             if p * p <= limit:
                 mu[p * p :: p * p] = 0
         self.mu = mu
-        self._omega_cache: dict[float, np.ndarray] = {}
         self._base_cache: dict[float, np.ndarray] = {}
 
     def check_n(self, n: int) -> None:
@@ -83,13 +82,10 @@ class ArithTable:
             raise ValueError(f"n = {n} outside sieve range [1, {self.limit}]")
 
     def omega_table(self, s: float) -> np.ndarray:
-        """omega_s(k) = prod over p | k of (1 - p^-s)^-1, for all k <= limit."""
-        tbl = self._omega_cache.get(s)
-        if tbl is None:
-            tbl = np.ones(self.limit + 1)
-            for p in self.primes:
-                tbl[int(p) :: int(p)] *= 1.0 / (1.0 - float(p) ** (-s))
-            self._omega_cache[s] = tbl
+        """omega_s(k) = prod over p | k of (1 - p^-s)^-1, for all k <= limit (uncached)."""
+        tbl = np.ones(self.limit + 1)
+        for p in self.primes:
+            tbl[int(p) :: int(p)] *= 1.0 / (1.0 - float(p) ** (-s))
         return tbl
 
     def base_vector(self, delta: float) -> np.ndarray:

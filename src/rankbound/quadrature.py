@@ -2,7 +2,10 @@
 
 Every adaptive integral in the package funnels through :func:`integrate`.
 The rule is the classical 15-point Kronrod extension of 7-point Gauss,
-applied adaptively by splitting the current worst panel;
+applied adaptively by splitting the current worst panel.  It gives up as
+soon as failure is certain: the panels frozen at the width floor carry more
+error than the tolerance, the interval budget runs out, or the running error
+sum met the tolerance but its exact sum does not.
 :func:`composite_gk15` lays the same rule on fixed equal panels for the
 vectorized callers in testfn.  Semi-infinite domains are pulled back to
 (0, 1) with a logarithmic change of variable, which is accurate exactly when
@@ -101,10 +104,13 @@ class EvaluationError(QuadratureError):
 
 
 class ConvergenceError(QuadratureError):
-    """The subdivision budget ran out before the tolerance was met.
+    """The tolerance is out of reach; the message names which of three reasons.
 
-    ``best`` carries the estimate accumulated so far together with its error
-    bound, so a caller that can live with less accuracy still gets a number.
+    The panels frozen at the width floor carry more error than the tolerance,
+    the interval budget ran out, or the running error sum met the tolerance
+    while the exact sum of the panel errors does not.  ``best`` carries the
+    estimate accumulated so far together with its error bound, so a caller
+    that can live with less accuracy still gets a number.
     """
 
     def __init__(self, best: "QuadResult", message: str) -> None:
@@ -186,43 +192,26 @@ def _adaptive(g, lo: float, hi: float, tol: float, cuts: Sequence[float]) -> Qua
     edges.append(hi)
 
     heap = []  # entries: (-err, tiebreak, a, b, value, err)
-    serial = 0
-    live_val = live_err = 0.0
-    n_evals = 0
-    for a, b in zip(edges, edges[1:]):
+    live_err = 0.0
+    for serial, (a, b) in enumerate(zip(edges, edges[1:])):
         v, e = _gk15(g, a, b)
-        n_evals += 15
         heapq.heappush(heap, (-e, serial, a, b, v, e))
-        serial += 1
-        live_val += v
         live_err += e
-
+    serial = n_intervals = len(heap)
+    n_evals = 15 * n_intervals
     frozen: list[tuple[float, float]] = []
     frozen_err = 0.0
-    n_intervals = len(heap)
 
-    while live_err + frozen_err > tol:
-        if not heap:
-            break
+    # Split the worst panel until the error meets tol, the panels frozen at
+    # the width floor alone exceed it (they never shrink, so no split can
+    # help), every panel is frozen, or the budget runs out.
+    while heap and n_intervals < MAX_INTERVALS and frozen_err <= tol < live_err + frozen_err:
         _, _, a, b, v, e = heapq.heappop(heap)
-        live_val -= v
         live_err -= e
         if (b - a) < _WIDTH_FLOOR * max(1.0, abs(a), abs(b)):
-            # Splitting further cannot help; keep the panel as-is.
             frozen.append((v, e))
             frozen_err += e
             continue
-        if n_intervals >= MAX_INTERVALS:
-            heapq.heappush(heap, (-e, serial, a, b, v, e))
-            serial += 1
-            live_val += v
-            live_err += e
-            best = _collect(heap, frozen, n_evals)
-            raise ConvergenceError(
-                best,
-                f"interval budget {MAX_INTERVALS} exhausted; "
-                f"error estimate {best.err_estimate:.3e} > tol {tol:.3e}",
-            )
         m = 0.5 * (a + b)
         v1, e1 = _gk15(g, a, m)
         v2, e2 = _gk15(g, m, b)
@@ -231,17 +220,18 @@ def _adaptive(g, lo: float, hi: float, tol: float, cuts: Sequence[float]) -> Qua
         heapq.heappush(heap, (-e1, serial, a, m, v1, e1))
         heapq.heappush(heap, (-e2, serial + 1, m, b, v2, e2))
         serial += 2
-        live_val += v1 + v2
         live_err += e1 + e2
 
     result = _collect(heap, frozen, n_evals)
     if result.err_estimate > tol:
-        # Every remaining panel hit the width floor yet the bound still
-        # exceeds tol: the integrand is rougher than this rule can certify.
+        if frozen_err > tol or not heap:
+            why = f"panels frozen at the width floor carry {frozen_err:.3e} of it"
+        elif n_intervals >= MAX_INTERVALS:
+            why = f"interval budget {MAX_INTERVALS} exhausted"
+        else:
+            why = "the running error sum met tol, its exact sum did not"
         raise ConvergenceError(
-            result,
-            f"error estimate {result.err_estimate:.3e} stuck above tol {tol:.3e} "
-            "with all panels at the width floor",
+            result, f"error estimate {result.err_estimate:.3e} > tol {tol:.3e}: {why}"
         )
     return result
 
@@ -263,11 +253,14 @@ def integrate(
     ``breakpoints`` are interior points where the integrand is allowed to be
     non-smooth; the initial panel layout honors them.  Raises
     :class:`EvaluationError` on nan/inf from ``f`` and
-    :class:`ConvergenceError` (carrying the best estimate) when the panel
-    budget or the width floor is hit first.
+    :class:`ConvergenceError` (carrying the best estimate) as soon as the
+    tolerance is out of reach: the panels frozen at the width floor carry
+    more error than ``tol``, the interval budget runs out, or the running
+    error sum met ``tol`` but the exact sum of the panel errors does not.
     """
     if tol <= 0.0 or math.isnan(tol):
         raise ValueError("tolerance must be positive")
+    g = _checked(f)
     if math.isinf(domain.hi):
         lo = domain.lo
 
@@ -278,10 +271,7 @@ def integrate(
             # map is valid for sits below the truncation threshold.
             if u >= 1.0:
                 return 0.0
-            t = lo - math.log1p(-u)
-            ft = f(t)
-            if not math.isfinite(ft):
-                raise EvaluationError(t, ft)
+            ft = g(lo - math.log1p(-u))
             if abs(ft) < _TRUNCATE_BELOW:
                 return 0.0
             return ft / (1.0 - u)
@@ -289,7 +279,7 @@ def integrate(
         cuts = [-math.expm1(-(b - lo)) for b in breakpoints if b > lo]
         return _adaptive(mapped, 0.0, 1.0, tol, cuts)
 
-    return _adaptive(_checked(f), domain.lo, domain.hi, tol, breakpoints)
+    return _adaptive(g, domain.lo, domain.hi, tol, breakpoints)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,17 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _, err = run(capsys, "scan", "--step", "nan")
     assert code == 2 and "step must be positive" in err
+    # a grid too large to scan is refused before any point is built
+    start = time.perf_counter()
+    code, _, err = run(capsys, "scan", "--step", "1e-9")
+    assert code == 2 and "grid too large" in err
+    assert time.perf_counter() - start < 1.0
+    code, _, err = run(capsys, "scan", "--step", "5e-324")
+    assert code == 2 and "grid too large" in err
+    # a tolerance the integrator cannot certify fails fast, with its reason
+    code, out, err = run(capsys, "verify", "--suite", "identities", "--tol", "1e-13")
+    assert code == 1 and out == "" and "computation failed" in err
+    assert "all panels at the width floor" not in err
     # a non-finite H is a numerical failure, never a printed result
     code, out, err = run(capsys, "bound", "--a", "0.5", "--delta", "1e-320")
     assert code == 1 and out == "" and "computation failed" in err

@@ -80,21 +80,33 @@ def test_width_floor_returns_best_estimate():
     best = exc.value.best
     assert best.value == pytest.approx(2.0, abs=1e-6)
     assert best.err_estimate > 1e-13
+    # it gives up as soon as the frozen panels alone exceed tol
+    assert "width floor" in str(exc.value)
+    assert best.n_evals < 10_000
 
 
 def test_interval_budget(monkeypatch):
+    # An oscillating ray that converges under the default budget has no
+    # panel at the width floor when 64 intervals run out.
+    f = lambda t: math.cos(100.0 * t) * math.exp(-t)
+    exact = 1.0 / (1.0 + 100.0**2)
+    assert integrate(f, IntegrationDomain(0.0), tol=1e-10).value == pytest.approx(exact, abs=1e-9)
     monkeypatch.setattr(q, "MAX_INTERVALS", 64)
     with pytest.raises(ConvergenceError) as exc:
-        integrate(lambda t: 1.0 / (1.0 + t), IntegrationDomain(0.0), tol=1e-10)
+        integrate(f, IntegrationDomain(0.0), tol=1e-10)
     assert math.isfinite(exc.value.best.value)
     assert "budget" in str(exc.value)
 
 
 def test_slow_decay_ray_fails_loudly():
-    # t^-2 decays too slowly for the log map; the integrator must refuse
-    # rather than silently truncate.
-    with pytest.raises(ConvergenceError):
-        integrate(lambda t: t**-2.0, IntegrationDomain(1.0), tol=1e-12)
+    # t^-2 decays too slowly for the log map, and 1/(1+t) is not integrable
+    # at all; the integrator must refuse rather than silently truncate, and
+    # refuse at the width floor without running through its budget.
+    for f, lo in ((lambda t: t**-2.0, 1.0), (lambda t: 1.0 / (1.0 + t), 0.0)):
+        with pytest.raises(ConvergenceError) as exc:
+            integrate(f, IntegrationDomain(lo), tol=1e-12)
+        assert "width floor" in str(exc.value)
+        assert exc.value.best.n_evals < 10_000
 
 
 coeffs = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6)
