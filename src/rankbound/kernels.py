@@ -7,6 +7,7 @@ and i_pm gives the closed forms of the normalized one-sided tails.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 from . import testfn
@@ -31,9 +32,12 @@ __all__ = [
 ]
 
 
+# 4 pi sin((pi - 1)/2), which is also 4 pi cos(1/2)
+_C = 4.0 * math.pi * math.sin(0.5 * (math.pi - 1.0))
+
+
 def c_const() -> float:
-    # 4 pi sin((pi - 1)/2), which is also 4 pi cos(1/2)
-    return 4.0 * math.pi * math.sin(0.5 * (math.pi - 1.0))
+    return _C
 
 
 def big_f(a: float, u: float) -> float:
@@ -56,7 +60,7 @@ def big_f(a: float, u: float) -> float:
         t3 = u * math.exp(u + math.log(e3))
     else:
         t3 = u * math.exp(u) * e3
-    return (t1 + t2 - t3) / (c_const() * u * u)
+    return (t1 + t2 - t3) / (_C * u * u)
 
 
 # Width of the removable-singularity window around x = +-1.  Inside it the
@@ -74,31 +78,41 @@ def _ratio_taylor(z0: float, d: float) -> float:
     return n1 + 0.5 * d * n2
 
 
+@functools.lru_cache(maxsize=32)
+def _edges(a: float) -> tuple[float, float, float, float]:
+    # z at the edges x = 1 and x = -1, and E there; a quadrature over x
+    # holds a fixed, so these are computed once per a.
+    z1 = 0.5 * (2.0 / a - 1.0)
+    z2 = 0.5 * (2.0 / a + 1.0)
+    return z1, z2, exp_e(z1), exp_e(z2)
+
+
 def big_k(a: float, x: float) -> float:
     """K(a, x) for a in (0, 1] and x in [-1, 1].
 
     The two difference quotients have removable singularities at x = 1 and
-    x = -1; a short Taylor window handles each.
+    x = -1; a short Taylor window handles each.  Their edge values E(z1) and
+    E(z2) depend on a alone and are cached per a, so a call outside the
+    windows evaluates E once, at z = (2/a - x)/2.
     """
     if math.isnan(a) or not 0.0 < a <= 1.0:
         raise ValueError("need a in (0, 1]")
     if math.isnan(x) or abs(x) > 1.0 + 1e-12:
         raise ValueError("need x in [-1, 1]")
     z = 0.5 * (2.0 / a - x)
-    z1 = 0.5 * (2.0 / a - 1.0)
-    z2 = 0.5 * (2.0 / a + 1.0)
+    z1, z2, ez1, ez2 = _edges(a)
     ez = exp_e(z)
     d_minus = x - 1.0
     if abs(d_minus) < _TAYLOR_WINDOW:
         t2 = _ratio_taylor(z1, d_minus)
     else:
-        t2 = (ez - math.exp(0.5 * d_minus) * exp_e(z1)) / d_minus
+        t2 = (ez - math.exp(0.5 * d_minus) * ez1) / d_minus
     d_plus = x + 1.0
     if abs(d_plus) < _TAYLOR_WINDOW:
         t3 = _ratio_taylor(z2, d_plus)
     else:
-        t3 = (ez - math.exp(0.5 * d_plus) * exp_e(z2)) / d_plus
-    return (2.0 / c_const()) * (ez + t2 - t3)
+        t3 = (ez - math.exp(0.5 * d_plus) * ez2) / d_plus
+    return (2.0 / _C) * (ez + t2 - t3)
 
 
 def g_psi(a: float, psi: Measure, tol: float = DEFAULT_TOL, with_err: bool = False):

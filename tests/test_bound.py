@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from rankbound import kernels
 from rankbound.bound import SERIES_TAIL, grid_reports, h_of_a, minimize
 
 H_048_HALF = 6.49795663079525332764056783948
@@ -38,6 +39,27 @@ def test_report_is_internally_consistent():
     assert rep.H == pytest.approx(h, abs=1e-12)
     assert rep.g_phi_1 > rep.g_phi_a > 0.0
     assert rep.g_phi2_1 > rep.g_phi2_a > 0.0
+
+
+def test_g_cache_ignores_delta(monkeypatch):
+    calls = []
+    g_psi = kernels.g_psi
+
+    def counted(a, psi, tol):
+        calls.append((a, tol))
+        return g_psi(a, psi, tol)
+
+    monkeypatch.setattr(kernels, "g_psi", counted)
+    h_of_a(0.48, 0.5)  # the a = 1 row and phi0hat(0) at the default tol
+    a = 0.3579  # used nowhere else
+    calls.clear()
+    first = h_of_a(a, 0.5)
+    assert calls == [(a, 1e-10), (a, 1e-10)]
+    calls.clear()
+    second = h_of_a(a, 0.25)
+    assert calls == []
+    assert (second.g_phi_a, second.g_phi2_a) == (first.g_phi_a, first.g_phi2_a)
+    assert second.H != first.H
 
 
 def test_domain_validation():

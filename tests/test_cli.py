@@ -184,6 +184,27 @@ def test_byte_determinism(capsys):
     assert runs[0] == runs[1]
 
 
+def _module_run(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(rankbound.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "rankbound.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+
+
+def test_earlier_calls_do_not_leak(capsys):
+    # the kernel caches outlive a command: a scan after scans at another
+    # delta and another tol must print what a fresh process prints
+    argv = ["scan", "--format", "json", "--delta", "0.3"]
+    assert run(capsys, "scan", "--format", "json")[0] == 0
+    assert run(capsys, "scan", "--format", "json", "--delta", "0.3", "--tol", "1e-8")[0] == 0
+    code, out, _ = run(capsys, *argv)
+    proc = _module_run(*argv)
+    assert (code, proc.returncode) == (0, 0)
+    assert out == proc.stdout
+
+
 def test_exit_codes(capsys):
     # tolerance outside the supported window
     code, _, err = run(capsys, "constants", "--tol", "1")
@@ -222,11 +243,6 @@ def test_module_run_is_quiet(capsys):
     # `python -m rankbound.cli` must not find the module already imported by
     # the package, which makes runpy warn on stderr
     argv = ["bound", "--a", "0.48", "--delta", "0.5"]
-    src = str(Path(rankbound.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rankbound.cli", *argv],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
-    )
+    proc = _module_run(*argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == run(capsys, *argv)[1]

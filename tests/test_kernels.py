@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankbound import kernels
 from rankbound.kernels import (
     big_f,
     big_k,
@@ -49,6 +50,41 @@ G_AT = {
     (0.48, 2): 0.0925500315580957156817089503092,
 }
 
+# Exact bits of K and G at tol 1e-10, recorded before the per-a edge values
+# of K were cached; the cache must reproduce every bit.  The x grid enters
+# both Taylor windows.
+K_X = (-1.0, -0.9995, -0.5, 0.0, 0.5, 0.9995, 1.0)
+K_HEX = {
+    0.3: (
+        "0x1.7af5826ae577cp-11",
+        "0x1.7b12546a3d8abp-11",
+        "0x1.fea62f2d84159p-11",
+        "0x1.58f6b90bcc919p-10",
+        "0x1.d3768c9b45fc8p-10",
+        "0x1.3db41fafae9bfp-9",
+        "0x1.3dcd446fc77e6p-9",
+    ),
+    0.48: (
+        "0x1.bbc696b47a0e5p-9",
+        "0x1.bbea34838acd8p-9",
+        "0x1.304a5f65165eap-8",
+        "0x1.a3807cfae2ad5p-8",
+        "0x1.22fe22ff1a306p-7",
+        "0x1.96ab3afa53dbap-7",
+        "0x1.96ce9395254abp-7",
+    ),
+    1.0: (
+        "0x1.ee465ba5ba159p-7",
+        "0x1.ee71fefe91319p-7",
+        "0x1.5ef1fa0e4a863p-6",
+        "0x1.f99053ff7ab3dp-6",
+        "0x1.7390795e45b26p-5",
+        "0x1.1997057dd5f65p-4",
+        "0x1.19b69f3d08714p-4",
+    ),
+}
+G_HEX_048 = {0: "0x1.8a41f15d67267p-5", 2: "0x1.7b15bdec92973p-4"}
+
 
 def test_c_const():
     assert c_const() == pytest.approx(C_CONST, abs=1e-13)
@@ -79,6 +115,33 @@ def test_k_frozen_values():
         assert big_k(a, x) == pytest.approx(want, abs=1e-12)
     for (a, x), want in K_NEAR_SEAM.items():
         assert big_k(a, x) == pytest.approx(want, abs=1e-7)
+
+
+def test_k_exact_bits():
+    for a, want in K_HEX.items():
+        assert [big_k(a, x).hex() for x in K_X] == list(want)
+
+
+def test_g_exact_bits():
+    for order, want in G_HEX_048.items():
+        assert g_psi(0.48, limit_measure(order), 1e-10).hex() == want
+
+
+def test_k_one_e_call_per_node(monkeypatch):
+    calls = []
+    exp_e = kernels.exp_e
+
+    def counted(z):
+        calls.append(z)
+        return exp_e(z)
+
+    monkeypatch.setattr(kernels, "exp_e", counted)
+    a = 0.4321  # used nowhere else, so its edge values are not cached yet
+    big_k(a, 0.25)
+    assert len(calls) == 3
+    calls.clear()
+    big_k(a, -0.5)
+    assert calls == [0.5 * (2.0 / a + 0.5)]
 
 
 def test_k_domain():
