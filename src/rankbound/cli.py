@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -132,17 +133,7 @@ def cmd_constants(args) -> int:
     return 0
 
 
-_REPORT_FIELDS = (
-    "a",
-    "delta",
-    "phi0_hat0",
-    "g_phi_1",
-    "g_phi_a",
-    "g_phi2_1",
-    "g_phi2_a",
-    "bracket",
-    "H",
-)
+_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(bound.BoundReport))
 
 
 def cmd_bound(args) -> int:

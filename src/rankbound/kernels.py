@@ -19,7 +19,7 @@ from .quadrature import (
     integrate_measure,
     integrate_measure_with_err,
 )
-from .special import exp_e, exp_e1
+from .special import exp_e, exp_e1, exp_e_by_quadrature
 
 __all__ = [
     "c_const",
@@ -167,12 +167,9 @@ def verify_lemma1(a: float, psi: Measure, tol: float = 1e-9) -> float:
 
 
 def _sign_of(sign) -> int:
-    table = {"+": 1, "-": -1, 1: 1, -1: -1}
-    try:
-        sg = table[sign]
-    except (KeyError, TypeError):
-        raise ValueError("sign must be '+' or '-'") from None
-    return sg
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    return 1 if sign == "+" else -1
 
 
 def i_pm(a: float, u: float, sign) -> float:
@@ -205,8 +202,6 @@ def i_pm_by_quadrature(a: float, u: float, sign, tol: float = 1e-9) -> float:
     if r >= 1.0:
         base = integrate(lambda v: math.exp(-r * v) / (v * v), IntegrationDomain(1.0), tol).value
     else:
-        # sub-exponential decay: same 1/v rewrite as the E oracle
-        base = integrate(
-            lambda w: math.exp(-r / w) if w > 0.0 else 0.0, IntegrationDomain(0.0, 1.0), tol
-        ).value
+        # sub-exponential decay: the integral is E(r), so use the E oracle
+        base = exp_e_by_quadrature(r, tol)
     return math.exp(-sg * u) * base / u

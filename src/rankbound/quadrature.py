@@ -4,8 +4,9 @@ Every adaptive integral in the package funnels through :func:`integrate`.
 The rule is the classical 15-point Kronrod extension of 7-point Gauss,
 applied adaptively by splitting the current worst panel.  It gives up as
 soon as failure is certain: the panels frozen at the width floor carry more
-error than the tolerance, the interval budget runs out, or the running error
-sum met the tolerance but its exact sum does not.
+error than the tolerance, the error sum has stalled at the rounding level
+(no new minimum over a fixed run of splits), the interval budget runs out,
+or the running error sum met the tolerance but its exact sum does not.
 :func:`composite_gk15` lays the same rule on fixed equal panels for the
 vectorized callers in testfn.  Semi-infinite domains are pulled back to
 (0, 1) with a logarithmic change of variable, which is accurate exactly when
@@ -49,6 +50,12 @@ MAX_INTERVALS = 1_000_000
 # than split further: at that width the rule is limited by rounding, not
 # truncation.
 _WIDTH_FLOOR = 1e-15
+
+# A run of this many splits in which the running error sum sets no new
+# minimum means the error has stalled at the rounding level (the roundoff
+# exit of QUADPACK's QAGS; Gonnet, ACM Computing Surveys 44(4), 2012).  A
+# tol under one ulp of the integral is met, if ever, only by rounding luck.
+_STALL_SPLITS = 4096
 
 # On rays, integrand magnitudes under this are treated as exact zeros, which
 # stops the change of variable from chasing noise in the far tail.
@@ -104,11 +111,12 @@ class EvaluationError(QuadratureError):
 
 
 class ConvergenceError(QuadratureError):
-    """The tolerance is out of reach; the message names which of three reasons.
+    """The tolerance is out of reach; the message names which of four reasons.
 
     The panels frozen at the width floor carry more error than the tolerance,
-    the interval budget ran out, or the running error sum met the tolerance
-    while the exact sum of the panel errors does not.  ``best`` carries the
+    the error sum stalled (no new minimum over a fixed run of splits), the
+    interval budget ran out, or the running error sum met the tolerance while
+    the exact sum of the panel errors does not.  ``best`` carries the
     estimate accumulated so far together with its error bound, so a caller
     that can live with less accuracy still gets a number.
     """
@@ -201,11 +209,17 @@ def _adaptive(g, lo: float, hi: float, tol: float, cuts: Sequence[float]) -> Qua
     n_evals = 15 * n_intervals
     frozen: list[tuple[float, float]] = []
     frozen_err = 0.0
+    least_err, stalled = live_err, 0
 
     # Split the worst panel until the error meets tol, the panels frozen at
     # the width floor alone exceed it (they never shrink, so no split can
-    # help), every panel is frozen, or the budget runs out.
-    while heap and n_intervals < MAX_INTERVALS and frozen_err <= tol < live_err + frozen_err:
+    # help), every panel is frozen, the error stalls, or the budget runs out.
+    while (
+        heap
+        and n_intervals < MAX_INTERVALS
+        and stalled < _STALL_SPLITS
+        and frozen_err <= tol < live_err + frozen_err
+    ):
         _, _, a, b, v, e = heapq.heappop(heap)
         live_err -= e
         if (b - a) < _WIDTH_FLOOR * max(1.0, abs(a), abs(b)):
@@ -221,6 +235,10 @@ def _adaptive(g, lo: float, hi: float, tol: float, cuts: Sequence[float]) -> Qua
         heapq.heappush(heap, (-e2, serial + 1, m, b, v2, e2))
         serial += 2
         live_err += e1 + e2
+        if live_err + frozen_err < least_err:
+            least_err, stalled = live_err + frozen_err, 0
+        else:
+            stalled += 1
 
     result = _collect(heap, frozen, n_evals)
     if result.err_estimate > tol:
@@ -228,6 +246,8 @@ def _adaptive(g, lo: float, hi: float, tol: float, cuts: Sequence[float]) -> Qua
             why = f"panels frozen at the width floor carry {frozen_err:.3e} of it"
         elif n_intervals >= MAX_INTERVALS:
             why = f"interval budget {MAX_INTERVALS} exhausted"
+        elif stalled >= _STALL_SPLITS:
+            why = f"the error stalled: no new minimum in {_STALL_SPLITS} splits"
         else:
             why = "the running error sum met tol, its exact sum did not"
         raise ConvergenceError(
@@ -255,8 +275,9 @@ def integrate(
     :class:`EvaluationError` on nan/inf from ``f`` and
     :class:`ConvergenceError` (carrying the best estimate) as soon as the
     tolerance is out of reach: the panels frozen at the width floor carry
-    more error than ``tol``, the interval budget runs out, or the running
-    error sum met ``tol`` but the exact sum of the panel errors does not.
+    more error than ``tol``, the error sum stalls (no new minimum over a
+    fixed run of splits), the interval budget runs out, or the running error
+    sum met ``tol`` but the exact sum of the panel errors does not.
     """
     if tol <= 0.0 or math.isnan(tol):
         raise ValueError("tolerance must be positive")

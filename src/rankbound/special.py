@@ -127,9 +127,9 @@ def verify_e_identities(a: float, b: float, x: float, tol: float = DEFAULT_TOL) 
     Left sides are evaluated by quadrature, right sides by the fast E path;
     the return value is the larger of the two absolute differences.  For the
     first identity the literal ray is integrated when the decay rate allows
-    the log map (rate >= 1); otherwise the exact substitution w = 1/(2u) is
-    used, which converts the ray to (0, 1] with no decay requirement.  The
-    second identity always goes through w = 1/u for the same reason: its
+    the log map (rate >= 1); otherwise t = 2u makes it twice the defining
+    integral of E((2/a - x)/2), which :func:`exp_e_by_quadrature` takes onto
+    (0, 1] with no decay requirement.  The second identity always goes through w = 1/u for the same reason: its
     integrand decays like exp(-(b - a) u) and b - a may be small.
     """
     if a <= 0.0:
@@ -145,11 +145,7 @@ def verify_e_identities(a: float, b: float, x: float, tol: float = DEFAULT_TOL) 
             lambda u: math.exp(-r * u) / (u * u), IntegrationDomain(0.5), tol
         ).value
     else:
-        lhs1 = 2.0 * integrate(
-            lambda w: math.exp(-0.5 * r / w) if w > 0.0 else 0.0,
-            IntegrationDomain(0.0, 1.0),
-            tol,
-        ).value
+        lhs1 = 2.0 * exp_e_by_quadrature(0.5 * r, tol)
     rhs1 = 2.0 * exp_e(0.5 * r)
 
     def f2(w: float) -> float:

@@ -1,5 +1,6 @@
 """Command line entry point: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -229,6 +230,12 @@ def test_exit_codes(capsys):
     code, out, err = run(capsys, "verify", "--suite", "identities", "--tol", "1e-13")
     assert code == 1 and out == "" and "computation failed" in err
     assert "all panels at the width floor" not in err
+    # an error stalled at the rounding level gives up long before the budget
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--suite", "identities", "--tol", "3e-14")
+    assert code == 1 and out == "" and "computation failed" in err
+    assert "the error stalled" in err
+    assert time.perf_counter() - start < 5.0
     # a non-finite H is a numerical failure, never a printed result
     code, out, err = run(capsys, "bound", "--a", "0.5", "--delta", "1e-320")
     assert code == 1 and out == "" and "computation failed" in err
@@ -246,3 +253,92 @@ def test_module_run_is_quiet(capsys):
     proc = _module_run(*argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == run(capsys, *argv)[1]
+
+
+# sha256 of the stdout of the reference commands: constants, one bound, the
+# default scan and a short one, and every verify suite at two seeds, each in
+# three formats.  Each exits 0 with nothing on stderr.  The digests pin every
+# printed digit, so they hold for one platform's libm and numpy build.
+REFERENCE_SHA256 = {
+    "constants --format table":
+        "0f4569807997da466697a2fbb9a2ab259fb8d6cc2362accc5cc6ed64b27a2760",
+    "bound --a 0.48 --delta 0.5 --format table":
+        "1d7d83b93b45c6bcbc026a28d7585d2e6e586394f0c2c056b42aeddb872c589c",
+    "scan --format table":
+        "90032cf6d96df52ab85e3d693087cda18b5308f3d452540a04e01af528d73df6",
+    "scan --a-min 0.45 --a-max 0.55 --step 0.05 --format table":
+        "7b8324035b4303d23a153507b2e7fe9159365e6ada7aeb0c62395aed2d64d103",
+    "verify --suite identities --seed 0 --format table":
+        "8dd83cf764d1f3db444a6e4b5ae9cfee26ca16365ce1b1984d9ce424ceef77e4",
+    "verify --suite identities --seed 5 --format table":
+        "c2ef8808b0e6cd966b04b23533248e9e1a8b09108fe4b4151c027f29fa6f33b0",
+    "verify --suite detector --seed 0 --format table":
+        "68d71141fcf8c9c738f5eb82011263eb6005dfd4bba1474c323a6da130f74ff3",
+    "verify --suite detector --seed 5 --format table":
+        "7a422885f0f8f07d176e0d924b92649fcd596d000deede008dbad81b016f91e3",
+    "verify --suite mollifier --seed 0 --format table":
+        "d5b8909ee07491af791f11b8d354f4bed62e9163d2325d384f50a61a3cf04123",
+    "verify --suite mollifier --seed 5 --format table":
+        "3349b34c585b81b8efae469fc857d3092b8c2689651127ce86cc315577c12d96",
+    "verify --suite all --seed 0 --format table":
+        "7a87d90de22451432c60ea0d7b61c1a08527ea26537d7ea4af6c5d823b371142",
+    "verify --suite all --seed 5 --format table":
+        "39aac62883112e848c20974d0e4a662fa95630716a0065f8c354c667f94e33bd",
+    "constants --format json":
+        "d0ca86caaa36002f6272e9a137e80d8c19f83865df474522bc3888efc8e56b5e",
+    "bound --a 0.48 --delta 0.5 --format json":
+        "a64a262c05b1898c8c6bdef9a2e1fefe00f8217848f41862ef5d4ba09cc14079",
+    "scan --format json":
+        "4f2705acd9c451d818e633ccbf5173705ddbf98fbf642b357ed9a7fe0b7ac071",
+    "scan --a-min 0.45 --a-max 0.55 --step 0.05 --format json":
+        "8a56d83aa4789a42cc886f58f31fec4799b71e6699bfa25742086fcbd018e20e",
+    "verify --suite identities --seed 0 --format json":
+        "6c94abf4877fc9a007e457ce3feff79158f7acc82490e73754e51d51880f0cfd",
+    "verify --suite identities --seed 5 --format json":
+        "f0909274797211e91aff1c6761e9474d4a18669ff187f88186ab61d4681337c1",
+    "verify --suite detector --seed 0 --format json":
+        "78b9b51a95af6e6c8f043eff5775a164e3d153349a16ec22b9586d6202118e8a",
+    "verify --suite detector --seed 5 --format json":
+        "f158425b3233e5c20a0211d7d5e5bfc77447ef070a55d2e4d8e605fb2d528a04",
+    "verify --suite mollifier --seed 0 --format json":
+        "40ab2c03f1be76d5c3852c39abea8bfd5b15be2accc24a45244d5249a6e00236",
+    "verify --suite mollifier --seed 5 --format json":
+        "44592a50f730ba1faf2683639112d8302c0f326af081503d0acc5d00223842a9",
+    "verify --suite all --seed 0 --format json":
+        "9b5fdbb4c6cee9a4d900add7a219f5a724b1fcbb6c9ff494946cb1a06f464be9",
+    "verify --suite all --seed 5 --format json":
+        "634e5e03db2268593343d55c3dd5a785621f016c7b0adbeda3fadb5bc633a31b",
+    "constants --format csv":
+        "241b037e21175db5be3c63690c800277caef5775cb5f305fc734ca2c5f98f918",
+    "bound --a 0.48 --delta 0.5 --format csv":
+        "21b388aff73e0505a88eec0c13af25c382be7e998e51d10a38c72a321c1bc024",
+    "scan --format csv":
+        "6cf64f28bf420749952433939d40947e3e61336c77c0a5e8d00f4094eef386fb",
+    "scan --a-min 0.45 --a-max 0.55 --step 0.05 --format csv":
+        "b10f99aaa78e1af5b3e7f29b177b97e62c3262837fea67af1146db3c90c67e50",
+    "verify --suite identities --seed 0 --format csv":
+        "fe4c93c6b10aad213d6a1e95e146104c4ecfa34e22dec2364b66169315db7448",
+    "verify --suite identities --seed 5 --format csv":
+        "16fa9b84faf4b9cedcef122f9824a76fbe850c9e20c18220f140f4ad4721bbc9",
+    "verify --suite detector --seed 0 --format csv":
+        "e08bad3dcd3f62040955bcfbc3a1dadbcca19f9896c5d96b2634afb4e4c4fa92",
+    "verify --suite detector --seed 5 --format csv":
+        "7133356933ce50ee688c6b637f60272c9a34e9b446ce0905d7b66379cdf84bb7",
+    "verify --suite mollifier --seed 0 --format csv":
+        "96e37af9abdd2824268ec7b2a28bcaaa5ffaea0a7f02091be3d04707b73cb6a0",
+    "verify --suite mollifier --seed 5 --format csv":
+        "99f325c3997fc2a1b252daca3c7c619e016ed1127351364911f547b6a5afc807",
+    "verify --suite all --seed 0 --format csv":
+        "69e272582d3b0ac7cebdf969283304e99aa2187ad4a984760165de7a78203d46",
+    "verify --suite all --seed 5 --format csv":
+        "05d74a845e664cd8419e347fb1951124296afea999254d606e2047a374ac7fda",
+}
+
+
+def test_reference_outputs(capsys):
+    changed = []
+    for argv, want in REFERENCE_SHA256.items():
+        code, out, err = run(capsys, *argv.split())
+        if (code, err, hashlib.sha256(out.encode()).hexdigest()) != (0, "", want):
+            changed.append(argv)
+    assert changed == []

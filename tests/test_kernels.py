@@ -213,10 +213,13 @@ def test_lemma1_excludes_endpoint():
 
 
 def test_i_pm_sign_spellings():
-    assert i_pm(0.5, 1.0, "+") == i_pm(0.5, 1.0, 1)
-    assert i_pm(0.5, 1.0, "-") == i_pm(0.5, 1.0, -1)
-    with pytest.raises(ValueError):
-        i_pm(0.5, 1.0, "x")
+    # only the two strings name a sign; the integers are not aliases
+    assert i_pm(0.5, 1.0, "+") != i_pm(0.5, 1.0, "-")
+    for bad in ("x", 1, -1):
+        with pytest.raises(ValueError, match="sign must be"):
+            i_pm(0.5, 1.0, bad)
+        with pytest.raises(ValueError, match="sign must be"):
+            i_pm_by_quadrature(0.5, 1.0, bad)
     with pytest.raises(ValueError):
         i_pm(1.5, 1.0, "+")
     with pytest.raises(ValueError):

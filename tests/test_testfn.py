@@ -9,17 +9,12 @@ from hypothesis import given, settings, strategies as st
 from rankbound import testfn
 from rankbound.testfn import (
     RHO,
-    PositivityGrid,
-    SmoothingParam,
     check_positivity,
     finite_eps_functional,
-    g_eps,
     laplace,
     laplace_density,
     laplace_deriv,
     limit_measure,
-    phi0_pieces,
-    phi_eps,
     phi_eps_deriv,
 )
 
@@ -35,33 +30,38 @@ M2_XEXP_HALF = 0.96789984072762573373755941094
 
 
 def test_smoothing_param_validation():
-    SmoothingParam(0.25)
-    SmoothingParam(1e-3)
+    phi_eps_deriv(0.25, 0.0, 0)
+    phi_eps_deriv(1e-3, 0.0, 0)
     for bad in (0.0, -0.05, 0.3, float("nan")):
-        with pytest.raises(ValueError):
-            SmoothingParam(bad)
+        with pytest.raises(ValueError, match="smoothing width"):
+            phi_eps_deriv(bad, 0.0, 0)
+        with pytest.raises(ValueError, match="smoothing width"):
+            check_positivity(bad)
+        with pytest.raises(ValueError, match="smoothing width"):
+            finite_eps_functional(bad, 1, lambda x: 1.0)
 
 
 def test_g_eps_shape():
     e = 0.1
-    assert g_eps(e, 0.0) == 1.0
-    assert g_eps(e, 0.5 - e) == pytest.approx(1.0, abs=1e-15)
-    assert g_eps(e, 0.5 + e) == 0.0
-    assert g_eps(e, 0.7) == 0.0
+    g = lambda x: float(testfn._g_core(e, np.array([x]))[0])
+    assert g(0.0) == 1.0
+    assert g(0.5 - e) == pytest.approx(1.0, abs=1e-15)
+    assert g(0.5 + e) == 0.0
+    assert g(0.7) == 0.0
     # ramp decreases monotonically across [1/2 - eps, 1/2 + eps]
-    xs = [0.5 - e + 2.0 * e * k / 40.0 for k in range(41)]
-    vals = [g_eps(e, x) for x in xs]
+    xs = np.array([0.5 - e + 2.0 * e * k / 40.0 for k in range(41)])
+    vals = testfn._g_core(e, xs)
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
-    assert g_eps(SmoothingParam(e), 0.3) == g_eps(e, 0.3)
 
 
 def test_phi_eps_normalization_and_support():
     for e in (0.25, 0.1, 0.05):
-        assert phi_eps(e, 0.0) == 1.0
-        assert phi_eps(e, 1.0 + 2.0 * e + 1e-9) == 0.0
+        phi = lambda x: phi_eps_deriv(e, x, 0)
+        assert phi(0.0) == 1.0
+        assert phi(1.0 + 2.0 * e + 1e-9) == 0.0
         for x in (0.3, 0.77, 1.01):
-            assert phi_eps(e, x) == pytest.approx(phi_eps(e, -x), abs=1e-14)
-        assert phi_eps(e, 0.4) > phi_eps(e, 0.9) > 0.0
+            assert phi(x) == pytest.approx(phi(-x), abs=1e-14)
+        assert phi(0.4) > phi(0.9) > 0.0
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -69,7 +69,7 @@ def test_phi_eps_normalization_and_support():
 def test_phi_eps_derivatives_match_finite_differences(order, x):
     e, h = 0.1, 1e-4
     if order == 1:
-        fd = (phi_eps(e, x + h) - phi_eps(e, x - h)) / (2.0 * h)
+        fd = (phi_eps_deriv(e, x + h, 0) - phi_eps_deriv(e, x - h, 0)) / (2.0 * h)
     else:
         fd = (
             phi_eps_deriv(e, x + h, 1) - phi_eps_deriv(e, x - h, 1)
@@ -85,7 +85,7 @@ def test_phi_eps_deriv_order_validation():
 
 
 def test_phi0_closed_form():
-    f = phi0_pieces()
+    f = limit_measure(0).density
     assert f.support == (-1.0, 1.0)
     assert f(0.0) == 1.0
     assert f(1.0) == pytest.approx(0.0, abs=1e-15)
@@ -106,7 +106,7 @@ def test_phi0_closed_form():
 def test_phi0_derivatives_match_finite_differences(x):
     # the limit densities are |phi0'| and |phi0''|; phi0' has the sign of
     # -x and phi0'' is negative inside (-RHO, RHO), positive outside
-    f = phi0_pieces()
+    f = limit_measure(0).density
     h = 1e-5
     d1 = (f(x + h) - f(x - h)) / (2.0 * h)
     d2 = (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
@@ -198,25 +198,14 @@ def test_positivity_default_scan():
 
 
 def test_positivity_indicator_counterexample():
-    # The sharp cutoff has a genuinely negative transform; the scan must
-    # find it.  This is the reason the smoothing exists at all.
-    got = check_positivity(
-        0.05,
-        PositivityGrid(tau_max=12.0),
-        fn=lambda x: np.where(np.abs(x) <= 0.5, 1.0, 0.0),
-        support=(-0.5, 0.5),
+    # The sharp cutoff has a genuinely negative transform; the scan that
+    # check_positivity runs must find it.  This is the reason the smoothing
+    # exists at all.
+    got = testfn._min_re_transform(
+        lambda x: np.where(np.abs(x) <= 0.5, 1.0, 0.0), -0.5, 0.5, 1.0 / 64.0
     )
     # closed form of the transform gives -0.2450452579 at (sigma, tau) = (-1, 8.9)
     assert got == pytest.approx(-0.2450452579481729, rel=1e-6)
-    with pytest.raises(ValueError):
-        check_positivity(0.05, fn=lambda x: 1.0)
-
-
-def test_positivity_grid_validation():
-    with pytest.raises(ValueError):
-        PositivityGrid(sigma_step=0.0)
-    with pytest.raises(ValueError):
-        PositivityGrid(tau_max=-1.0)
 
 
 def test_finite_eps_functionals():
