@@ -8,6 +8,10 @@ and the first and second derivatives converge in total variation to explicit
 piecewise densities plus point masses (:func:`limit_measure`).  The module
 also gives their two-sided Laplace transforms and the positivity scan of
 Re(transform) on a fixed complex grid.
+
+The bump is exactly 1 on [-1/2, 1/2] and 0 beyond 1/2 + eps, so each
+convolution at x is a prefix sum of the bump's quadrature samples over the
+flat part plus short dot products over the two ramp windows around x -+ 1/2.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from .quadrature import (
     Measure,
     PiecewiseSmoothFn,
     composite_gk15,
-    integrate,
+    integrate_array,
     integrate_measure,
 )
 
@@ -41,6 +45,9 @@ __all__ = [
 # Sign change of the second derivative of (1 - x)/cosh x on (0, 1); the
 # order-2 limit density switches branch here.
 RHO = 0.2995792886928977
+
+# Absolute tolerance of the adaptive finite-eps integrals.
+_FINITE_EPS_TOL = 1e-8
 
 
 def _eps_of(eps) -> float:
@@ -85,37 +92,59 @@ def _gp_core(e: float, x: np.ndarray) -> np.ndarray:
 
 
 class _ConvTable:
-    """Composite Kronrod samples of the bump, so convolutions become dot products.
+    """Composite Kronrod samples of the bump, convolved across the ramps only.
 
     Panel width eps/6 keeps each ramp resolved far past double precision;
-    the node count is a few hundred per unit of support.
+    the node count is a few hundred per unit of support.  The bump g is
+    exactly 1 on [-1/2, 1/2] and 0 beyond 1/2 + eps, so (g * g)(x) is a
+    prefix sum of the weighted samples over the nodes t with |x - t| <= 1/2
+    plus two dot products over the ramp windows, the nodes just left of
+    x - 1/2 and just right of x + 1/2.  g' vanishes off the ramps, so the
+    derivative convolutions need the windows alone.  Each window is a fixed
+    run of ``width`` nodes, the most that a span of length eps holds; the
+    table is padded with that many zero-weight nodes on both sides so every
+    run exists.  The prefix sum rounds like any running sum, so against an
+    exact sum it drifts with the table size: about 1e-13 relative at
+    eps = 0.005, where a dense dot product stays under 1e-15.
     """
 
     def __init__(self, e: float) -> None:
         self.eps = e
         half = 0.5 + e
         n_panels = max(24, int(math.ceil(2.0 * half / (e / 6.0))))
-        self.t, w = composite_gk15(-half, half, n_panels)
-        self.wg = w * _g_core(e, self.t)
-        self.wgp = w * _gp_core(e, self.t)
-        self.norm = float(self._dot(np.array([0.0]), self.wg, _g_core)[0])
+        t, w = composite_gk15(-half, half, n_panels)
+        wg = w * _g_core(e, t)
+        self.t = t
+        self.cum = np.concatenate(([0.0], np.cumsum(wg)))
+        self.width = int(np.max(np.searchsorted(t, t + e, side="right") - np.arange(t.size)))
+        self.tpad = np.pad(t, self.width, mode="edge")
+        self.wg = np.pad(wg, self.width)
+        self.wgp = np.pad(w * _gp_core(e, t), self.width)
+        self.run = np.arange(self.width)
+        self.norm = float(self.convs(np.array([0.0]), 0)[0][0])
 
-    def _dot(self, x: np.ndarray, wvec: np.ndarray, gfun) -> np.ndarray:
-        out = np.empty(x.size)
-        step = max(1, 2_000_000 // self.t.size)
-        for i in range(0, x.size, step):
-            blk = x[i : i + step, None] - self.t[None, :]
-            out[i : i + step] = gfun(self.eps, blk.ravel()).reshape(blk.shape) @ wvec
+    def convs(self, x: np.ndarray, order: int) -> list[np.ndarray]:
+        """[(g * g)(x), (g' * g)(x), (g' * g')(x)] up to the given order."""
+        # Rows go in blocks of about a million window entries, so the memory
+        # of a long x (the positivity scan at small eps) stays bounded.
+        step = max(1, 2**20 // (2 * self.width))
+        blocks = [self._convs(x[i : i + step], order) for i in range(0, max(x.size, 1), step)]
+        return [np.concatenate(parts) for parts in zip(*blocks)]
+
+    def _convs(self, x: np.ndarray, order: int) -> list[np.ndarray]:
+        lo = np.searchsorted(self.t, x - 0.5, side="left")  # first t >= x - 1/2
+        hi = np.searchsorted(self.t, x + 0.5, side="right")  # first t > x + 1/2
+        # Padded indices of the runs ending at lo and starting at hi.
+        idx = np.concatenate((lo[:, None] + self.run, hi[:, None] + self.width + self.run), axis=1)
+        d = x[:, None] - self.tpad[idx]
+        wg = self.wg[idx]
+        out = [self.cum[hi] - self.cum[lo] + (_g_core(self.eps, d) * wg).sum(axis=1)]
+        if order >= 1:
+            gp = _gp_core(self.eps, d)
+            out.append((gp * wg).sum(axis=1))
+            if order == 2:
+                out.append((gp * self.wgp[idx]).sum(axis=1))
         return out
-
-    def conv0(self, x):  # (g * g)(x)
-        return self._dot(x, self.wg, _g_core)
-
-    def conv1(self, x):  # (g * g)'(x) = (g' * g)(x)
-        return self._dot(x, self.wg, _gp_core)
-
-    def conv2(self, x):  # (g * g)''(x) = (g' * g')(x)
-        return self._dot(x, self.wgp, _gp_core)
 
 
 @functools.lru_cache(maxsize=32)
@@ -132,17 +161,15 @@ def phi_eps_deriv(eps, x, order: int):
     a = np.asarray(x, dtype=float)
     flat = a.ravel()
     sech = 1.0 / np.cosh(flat)
-    c0 = tbl.conv0(flat) / tbl.norm
+    c = [ci / tbl.norm for ci in tbl.convs(flat, order)]
     if order == 0:
-        v = c0 * sech
+        v = c[0] * sech
     else:
         th = np.tanh(flat)
-        c1 = tbl.conv1(flat) / tbl.norm
         if order == 1:
-            v = (c1 - c0 * th) * sech
+            v = (c[1] - c[0] * th) * sech
         else:
-            c2 = tbl.conv2(flat) / tbl.norm
-            v = (c2 - 2.0 * c1 * th + c0 * (th * th - sech * sech)) * sech
+            v = (c[2] - 2.0 * c[1] * th + c[0] * (th * th - sech * sech)) * sech
     v = v.reshape(a.shape)
     return float(v) if a.ndim == 0 else v
 
@@ -264,18 +291,20 @@ def check_positivity(eps) -> float:
     return _min_re_transform(lambda x: phi_eps_deriv(e, x, 0), -half, half, e / 6.0)
 
 
-def finite_eps_functional(eps, order: int, h: Callable[[float], float], tol: float = 1e-8) -> float:
+def finite_eps_functional(eps, order: int, h: Callable[[float], float]) -> float:
     """Integral of |phi_eps_deriv(eps, x, order)| * h over the support, adaptively.
 
     The absolute value has kinks wherever the derivative changes sign, at
     locations that drift with eps, so this stays on the adaptive path rather
-    than the fixed-rule one.
+    than the fixed-rule one.  Each panel's 15 nodes go to phi_eps_deriv as
+    one array; h is called node by node.
     """
     e = _eps_of(eps)
     half = 1.0 + 2.0 * e
 
-    def f(x: float) -> float:
-        return abs(phi_eps_deriv(e, x, order)) * h(x)
+    def fv(x: np.ndarray) -> np.ndarray:
+        return np.abs(phi_eps_deriv(e, x, order)) * np.array([h(t) for t in x.tolist()])
 
     seeds = [b for b in (-1.0, -0.5, 0.0, 0.5, 1.0) if -half < b < half]
-    return integrate(f, IntegrationDomain(-half, half), tol, breakpoints=seeds).value
+    domain = IntegrationDomain(-half, half)
+    return integrate_array(fv, domain, _FINITE_EPS_TOL, breakpoints=seeds).value

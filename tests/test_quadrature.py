@@ -13,6 +13,7 @@ from rankbound.quadrature import (
     Measure,
     PiecewiseSmoothFn,
     integrate,
+    integrate_array,
     integrate_measure,
     integrate_measure_with_err,
 )
@@ -66,6 +67,37 @@ def test_evaluation_error_reports_original_coordinate():
     with pytest.raises(EvaluationError) as exc:
         integrate(f, IntegrationDomain(0.0), tol=1e-10)
     assert 2.0 < exc.value.abscissa < 4.0
+
+
+def test_integrate_array_matches_integrate():
+    # Runge's function with a kink at 0.3 needs only + - * /, so the array
+    # integrand agrees with the scalar one element by element, and the two
+    # entry points must give the same bits.
+    dom, cuts = IntegrationDomain(-1.0, 2.0), (0.3,)
+    f = lambda x: abs(x - 0.3) / (1.0 + 25.0 * x * x)
+    fv = lambda xs: abs(xs - 0.3) / (1.0 + 25.0 * xs * xs)
+    r = integrate(f, dom, tol=1e-12, breakpoints=cuts)
+    ra = integrate_array(fv, dom, tol=1e-12, breakpoints=cuts)
+    assert r.n_evals > 15 * len(cuts) + 15
+    assert (ra.value, ra.err_estimate, ra.n_evals) == (r.value, r.err_estimate, r.n_evals)
+
+    seen = []
+
+    def nan_at_one_node(xs):
+        y = fv(xs)
+        y[3] = math.nan
+        seen.append(float(xs[3]))
+        return y
+
+    with pytest.raises(EvaluationError) as exc:
+        integrate_array(nan_at_one_node, dom, breakpoints=cuts)
+    assert exc.value.abscissa == seen[0]
+    assert math.isnan(exc.value.value)
+
+    with pytest.raises(ValueError, match="finite domain"):
+        integrate_array(fv, IntegrationDomain(0.0))
+    with pytest.raises(ValueError, match="tolerance"):
+        integrate_array(fv, dom, tol=0.0)
 
 
 def test_width_floor_returns_best_estimate():

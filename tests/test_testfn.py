@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankbound import testfn
+from rankbound.quadrature import composite_gk15
 from rankbound.testfn import (
     RHO,
     check_positivity,
@@ -75,6 +76,25 @@ def test_phi_eps_derivatives_match_finite_differences(order, x):
             phi_eps_deriv(e, x + h, 1) - phi_eps_deriv(e, x - h, 1)
         ) / (2.0 * h)
     assert phi_eps_deriv(e, x, order) == pytest.approx(fd, abs=5e-6)
+
+
+def _dense_convs(e, x):
+    # The sums the ramp windows replace: every table node against every x.
+    half = 0.5 + e
+    t, w = composite_gk15(-half, half, testfn._table(e).t.size // 15)
+    g, gp = testfn._g_core(e, x[:, None] - t), testfn._gp_core(e, x[:, None] - t)
+    wg, wgp = w * testfn._g_core(e, t), w * testfn._gp_core(e, t)
+    return [g @ wg, gp @ wg, gp @ wgp]
+
+
+@pytest.mark.parametrize("e", [0.25, 0.1, 0.05, 0.01, 0.005])
+def test_conv_matches_dense_reference(e):
+    edges = [s * (0.5 + k * e) for s in (-1.0, 1.0) for k in (-1, 0, 1)]
+    outside = [s * (1.0 + 2.0 * e + d) for s in (-1.0, 1.0) for d in (1e-9, 0.1, 2.0)]
+    x = np.concatenate([np.linspace(-1.0 - 3.0 * e, 1.0 + 3.0 * e, 101), edges, outside])
+    for order, (got, ref) in enumerate(zip(testfn._table(e).convs(x, 2), _dense_convs(e, x))):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), order
+        assert np.all(got[-len(outside):] == 0.0) and np.all(ref[-len(outside):] == 0.0)
 
 
 def test_phi_eps_deriv_order_validation():
@@ -225,3 +245,16 @@ def test_finite_eps_approaches_limit():
         abs(finite_eps_functional(e, 1, math.exp) - target) for e in (0.1, 0.05)
     ]
     assert errs[1] < errs[0]
+
+
+def test_finite_eps_one_call_per_panel(monkeypatch):
+    sizes = []
+    inner = testfn.phi_eps_deriv
+
+    def counted(eps, x, order):
+        sizes.append(np.size(x))
+        return inner(eps, x, order)
+
+    monkeypatch.setattr(testfn, "phi_eps_deriv", counted)
+    assert finite_eps_functional(0.1, 1, lambda x: 1.0) == pytest.approx(2.0, abs=1e-7)
+    assert len(sizes) > 5 and set(sizes) == {15}
