@@ -100,10 +100,6 @@ def _csv(headers: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
 def cmd_constants(args) -> int:
     m0 = testfn.limit_measure(0)
     m1 = testfn.limit_measure(1)
@@ -124,12 +120,12 @@ def cmd_constants(args) -> int:
         for name, val, err in entries:
             obj[name] = _round12(val)
             obj[name + "_err"] = _round12(err)
-        _emit(json.dumps(obj, indent=2) + "\n")
+        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     else:
         digits = 6 if args.fmt == "table" else 12
         rows = [[name, _sig(val, digits), _sig(err, digits)] for name, val, err in entries]
         render = _table if args.fmt == "table" else _csv
-        _emit(render(["name", "value", "err_estimate"], rows))
+        sys.stdout.write(render(["name", "value", "err_estimate"], rows))
     return 0
 
 
@@ -140,12 +136,13 @@ def cmd_bound(args) -> int:
     rep = bound.h_of_a(args.a, args.delta, args.tol)
     vals = [getattr(rep, f) for f in _REPORT_FIELDS]
     if args.fmt == "json":
-        _emit(json.dumps({f: _round12(v) for f, v in zip(_REPORT_FIELDS, vals)}, indent=2) + "\n")
+        obj = {f: _round12(v) for f, v in zip(_REPORT_FIELDS, vals)}
+        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     elif args.fmt == "csv":
-        _emit(_csv(list(_REPORT_FIELDS), [[_sig(v, 12) for v in vals]]))
+        sys.stdout.write(_csv(list(_REPORT_FIELDS), [[_sig(v, 12) for v in vals]]))
     else:
         rows = [[f, _sig(v, 6)] for f, v in zip(_REPORT_FIELDS, vals)]
-        _emit(_table(["field", "value"], rows))
+        sys.stdout.write(_table(["field", "value"], rows))
     return 0
 
 
@@ -166,15 +163,15 @@ def cmd_scan(args) -> int:
             "minimizer": {f: _round12(getattr(best, f)) for f in _REPORT_FIELDS},
         }
         obj["minimizer"]["slack_to_6_5"] = _round12(6.5 - best.H)
-        _emit(json.dumps(obj, indent=2) + "\n")
+        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     else:
         digits = 6 if args.fmt == "table" else 12
         rows = [[_sig(v, digits) for v in row_of(r)] for r in reports]
         rows.append([_sig(v, digits) for v in row_of(best)])
         render = _table if args.fmt == "table" else _csv
-        _emit(render(headers, rows))
+        sys.stdout.write(render(headers, rows))
         if args.fmt == "table":
-            _emit(
+            sys.stdout.write(
                 f"minimum (refined, last row): a = {_sig(a_star, 6)}, "
                 f"H = {_sig(best.H, 6)}, slack to 6.5 = {_sig(6.5 - best.H, 6)}\n"
             )
@@ -187,14 +184,18 @@ _E_TRIPLES = ((1.0, 2.0, 0.0), (1.0, 2.0, 0.5), (0.48, 1.48, 0.99))
 _LEMMA1_CASES = ((0.48, 0), (0.48, 2), (0.7, 1), (0.25, 0))
 _I_PM_CASES = tuple(itertools.product((0.25, 0.48, 0.7), (0.5, 1.0, 2.0), ("+", "-")))
 _M = 100_000
+# Lemma 1's inner transform integral reaches about 45,483, where one ulp is
+# 7.3e-12: an absolute tol below that is met, if ever, only by rounding luck.
+_LEMMA1_TOL_FLOOR = 1e-11
 
 
 def _verify_rows(args) -> checks.CheckList:
     out = checks.CheckList()
     if args.suite in ("identities", "all"):
-        out.add(
-            "e_identities (3 pinned triples)", checks.e_identity_worst(_E_TRIPLES, args.tol), 1e-8
-        )
+        # The E-identity residual runs at about tol / 40, so like the lemma-1
+        # and detector rows this one caps tol at the level its bound needs.
+        e_tol = min(args.tol, 1e-8)
+        out.add("e_identities (3 pinned triples)", checks.e_identity_worst(_E_TRIPLES, e_tol), 1e-8)
         out.add(
             "e_fast_vs_defining_integral",
             checks.e_quadrature_worst((0.05, 0.3, 1.0, 2.5, 7.0, 30.0)),
@@ -207,7 +208,7 @@ def _verify_rows(args) -> checks.CheckList:
         )
         out.add(
             "kernel_transform_identity (4 cases)",
-            checks.lemma1_worst(_LEMMA1_CASES, min(args.tol, 1e-8)),
+            checks.lemma1_worst(_LEMMA1_CASES, max(min(args.tol, 1e-8), _LEMMA1_TOL_FLOOR)),
             1e-6,
         )
         out.add("tail_closed_forms (18 cases)", checks.i_pm_worst(_I_PM_CASES), 1e-6)
@@ -280,7 +281,7 @@ def cmd_verify(args) -> int:
             ],
             "failures": failures,
         }
-        _emit(json.dumps(obj, indent=2) + "\n")
+        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     else:
         digits = 6 if args.fmt == "table" else 12
         rows = [
@@ -288,9 +289,10 @@ def cmd_verify(args) -> int:
             for name, res, lim, ok in results
         ]
         render = _table if args.fmt == "table" else _csv
-        _emit(render(["status", "check", "residual", "bound", "seed"], rows))
+        sys.stdout.write(render(["status", "check", "residual", "bound", "seed"], rows))
         if args.fmt == "table":
-            _emit(f"suite {args.suite}: {len(results) - failures}/{len(results)} passed\n")
+            passed = len(results) - failures
+            sys.stdout.write(f"suite {args.suite}: {passed}/{len(results)} passed\n")
     return 0 if failures == 0 else 1
 
 

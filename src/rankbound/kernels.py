@@ -190,7 +190,11 @@ def i_pm(a: float, u: float, sign) -> float:
     return math.exp(u) * ev / u
 
 
-def i_pm_by_quadrature(a: float, u: float, sign, tol: float = 1e-9) -> float:
+# Absolute tolerance of the defining tail integrals.
+_I_PM_QUAD_TOL = 1e-9
+
+
+def i_pm_by_quadrature(a: float, u: float, sign) -> float:
     """The defining tail integral, evaluated numerically in u-scaled variables:
     exp(-+u)/u times the integral over v >= 1 of exp(-(2/a -+ 1) u v) v^-2 dv."""
     if not 0.0 < a < 1.0:
@@ -200,8 +204,10 @@ def i_pm_by_quadrature(a: float, u: float, sign, tol: float = 1e-9) -> float:
     sg = _sign_of(sign)
     r = (2.0 / a - sg) * u
     if r >= 1.0:
-        base = integrate(lambda v: math.exp(-r * v) / (v * v), IntegrationDomain(1.0), tol).value
+        base = integrate(
+            lambda v: math.exp(-r * v) / (v * v), IntegrationDomain(1.0), _I_PM_QUAD_TOL
+        ).value
     else:
         # sub-exponential decay: the integral is E(r), so use the E oracle
-        base = exp_e_by_quadrature(r, tol)
+        base = exp_e_by_quadrature(r, _I_PM_QUAD_TOL)
     return math.exp(-sg * u) * base / u

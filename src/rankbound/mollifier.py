@@ -17,7 +17,6 @@ __all__ = [
     "MollifierParams",
     "ArithTable",
     "SSums",
-    "g_cap",
     "y_k_bruteforce",
     "s_sums",
     "truncated_zeta_check",
@@ -102,19 +101,6 @@ class ArithTable:
         return vec
 
 
-def g_cap(M: float, a: float, x: float) -> float:
-    """Logarithmic taper: 1 up to M^a, log-linear down to 0 at M."""
-    if x <= 0.0:
-        raise ValueError("taper defined for x > 0")
-    if M <= 1.0 or not 0.0 < a < 1.0:
-        raise ValueError("need M > 1 and a in (0, 1)")
-    if x >= M:
-        return 0.0
-    if x <= M**a:
-        return 1.0
-    return math.log(x / M) / ((a - 1.0) * math.log(M))
-
-
 def y_k_bruteforce(table: ArithTable, k: int, p: MollifierParams) -> complex:
     """The mollifier coefficient y_k, summed exactly over the integers.
 
@@ -175,21 +161,15 @@ def s_sums(table: ArithTable, p: MollifierParams) -> SSums:
     M, a, d = p.M, p.a, p.delta
     table.check_n(M)
     zeta, zeta_p = zeta_vals(d)
-    base = table.base_vector(d)[: M + 1]
-    k = np.arange(M + 1, dtype=float)
-    k[0] = 1.0
-    m_to_a = float(M) ** a
-    idx = np.arange(M + 1)
-    lo = (idx >= 1) & (idx <= m_to_a)
-    hi = (idx > m_to_a) & (idx <= M)
+    base = table.base_vector(d)
+    # k <= M^a is the prefix k = 1 .. n_lo; the taper logs live on the rest.
+    n_lo = math.floor(float(M) ** a)
     cap_l = (1.0 - a) * math.log(M)
-    logs = np.zeros(M + 1)
-    logs[1:] = np.log(float(M) / k[1:])
     z = zeta_p / zeta
 
-    low_sum = float(np.sum(base[lo]))
-    b_hi = base[hi]
-    lg_hi = logs[hi]
+    low_sum = float(np.sum(base[1 : n_lo + 1]))
+    b_hi = base[n_lo + 1 : M + 1]
+    lg_hi = np.log(float(M) / np.arange(n_lo + 1, M + 1, dtype=float))
     h0 = float(np.sum(b_hi))
     h1 = float(np.sum(b_hi * lg_hi))
     h2 = float(np.sum(b_hi * lg_hi * lg_hi))

@@ -1,17 +1,19 @@
 """Adaptive Gauss-Kronrod quadrature and integration against measures.
 
-Every adaptive integral in the package funnels through one loop, reached by
-:func:`integrate` for a scalar integrand and by :func:`integrate_array` for
-one that takes a panel's 15 nodes as one array (finite domains only; the two
-give the same bits on integrands that agree element by element).  The rule
-is the classical 15-point Kronrod extension of 7-point Gauss, applied
-adaptively by splitting the current worst panel.  It gives up as
-soon as failure is certain: the panels frozen at the width floor carry more
-error than the tolerance, the error sum has stalled at the rounding level
-(no new minimum over a fixed run of splits), the interval budget runs out,
-or the running error sum met the tolerance but its exact sum does not.
-:func:`composite_gk15` lays the same rule on fixed equal panels for the
-vectorized callers in testfn.  Semi-infinite domains are pulled back to
+Every adaptive integral in the package funnels through one loop and one
+panel rule, the classical 15-point Kronrod extension of 7-point Gauss,
+applied adaptively by splitting the current worst panel.  The rule is a
+fixed weighted sum of a panel's 15 values; the two entry points differ only
+in how those values are produced: :func:`integrate` calls a scalar integrand
+node by node, :func:`integrate_array` hands the 15 nodes to an array
+integrand at once (finite domains only; the two give the same bits on
+integrands that agree element by element).  The loop gives up as soon as
+failure is certain: the panels frozen at the width floor carry more error
+than the tolerance, the error sum has stalled at the rounding level (no new
+minimum over a fixed run of splits), the interval budget runs out, or the
+running error sum met the tolerance but its exact sum does not.
+:func:`composite_gk15` lays the same 15-node rule on fixed equal panels for
+the vectorized callers in testfn.  Semi-infinite domains are pulled back to
 (0, 1) with a logarithmic change of variable, which is accurate exactly when
 the integrand decays at least like exp(-t); integrands with slower decay
 must be rewritten by the caller (several modules do, with a comment at the
@@ -95,10 +97,10 @@ _GAUSS_W = (
     0.417959183673469387755102040816327,
 )
 
-# The full 15-node rule on [-1, 1], nodes ascending, as arrays: the fixed
-# composite rule and the array panel rule both lay these out.
-_GK15_X = np.array([-x for x in _KRONROD_X[:7]] + [0.0] + [x for x in reversed(_KRONROD_X[:7])])
-_GK15_W = np.array(list(_KRONROD_W[:7]) + [_KRONROD_W[7]] + list(reversed(_KRONROD_W[:7])))
+# The same rule on all 15 nodes of [-1, 1], ascending: the one layout that
+# the adaptive panel rule and composite_gk15 both use.
+_GK15_X = tuple(-x for x in _KRONROD_X[:7]) + _KRONROD_X[7::-1]
+_GK15_W = _KRONROD_W[:7] + _KRONROD_W[7::-1]
 
 
 class QuadratureError(Exception):
@@ -156,44 +158,22 @@ class IntegrationDomain:
             raise ValueError("need hi > lo")
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Kronrod panel: (integral estimate, |Kronrod - Gauss| error)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
-    kron = _KRONROD_W[7] * fc
-    gauss = _GAUSS_W[3] * fc
-    for j in range(7):
-        dx = h * _KRONROD_X[j]
-        f1 = f(c - dx)
-        f2 = f(c + dx)
-        kron += _KRONROD_W[j] * (f1 + f2)
-        if j % 2 == 1:
-            gauss += _GAUSS_W[j // 2] * (f1 + f2)
-    return kron * h, abs(kron - gauss) * h
+def _gk15(panel: Callable[[list[float]], list[float]], a: float, b: float) -> tuple[float, float]:
+    """One Kronrod panel: (integral estimate, |Kronrod - Gauss| error).
 
-
-def _gk15_array(fv: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    """:func:`_gk15` with the 15 nodes passed to ``fv`` as one array.
-
-    The nodes are c -+ h x_j as the scalar rule forms them and the values are
-    summed in its order, so an ``fv`` that agrees element by element with a
-    scalar integrand gives the same bits.
+    This is the only panel rule.  ``panel`` maps the 15 nodes c + h x_j,
+    ascending, to their 15 values in one call; the entry points differ only
+    in how it evaluates them.  The sum takes the centre first, then the pairs
+    j and 14 - j.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    nodes = c + h * _GK15_X
-    y = np.asarray(fv(nodes), dtype=float)
-    bad = ~np.isfinite(y)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise EvaluationError(float(nodes[i]), float(y[i]))
-    v = y.tolist()
-    kron = _KRONROD_W[7] * v[7]
+    v = panel([c + h * x for x in _GK15_X])
+    kron = _GK15_W[7] * v[7]
     gauss = _GAUSS_W[3] * v[7]
     for j in range(7):
         pair = v[j] + v[14 - j]
-        kron += _KRONROD_W[j] * pair
+        kron += _GK15_W[j] * pair
         if j % 2 == 1:
             gauss += _GAUSS_W[j // 2] * pair
     return kron * h, abs(kron - gauss) * h
@@ -210,8 +190,8 @@ def composite_gk15(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     h = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + h * _GK15_X[None, :]).ravel()
-    weights = np.broadcast_to(h * _GK15_W[None, :], (n_panels, 15)).ravel()
+    nodes = (mid[:, None] + h * np.array(_GK15_X)[None, :]).ravel()
+    weights = np.broadcast_to(h * np.array(_GK15_W)[None, :], (n_panels, 15)).ravel()
     return nodes, weights
 
 
@@ -225,8 +205,8 @@ def _checked(f: Callable[[float], float]) -> Callable[[float], float]:
     return g
 
 
-def _adaptive(rule, f, lo: float, hi: float, tol: float, cuts: Sequence[float]) -> QuadResult:
-    # rule(f, a, b) is one panel's (estimate, error): _gk15 or _gk15_array.
+def _adaptive(panel, lo: float, hi: float, tol: float, cuts: Sequence[float]) -> QuadResult:
+    # panel maps a panel's 15 nodes to their values; see _gk15.
     if tol <= 0.0 or math.isnan(tol):
         raise ValueError("tolerance must be positive")
     edges = [lo]
@@ -238,7 +218,7 @@ def _adaptive(rule, f, lo: float, hi: float, tol: float, cuts: Sequence[float]) 
     heap = []  # entries: (-err, tiebreak, a, b, value, err)
     live_err = 0.0
     for serial, (a, b) in enumerate(zip(edges, edges[1:])):
-        v, e = rule(f, a, b)
+        v, e = _gk15(panel, a, b)
         heapq.heappush(heap, (-e, serial, a, b, v, e))
         live_err += e
     serial = n_intervals = len(heap)
@@ -263,8 +243,8 @@ def _adaptive(rule, f, lo: float, hi: float, tol: float, cuts: Sequence[float]) 
             frozen_err += e
             continue
         m = 0.5 * (a + b)
-        v1, e1 = rule(f, a, m)
-        v2, e2 = rule(f, m, b)
+        v1, e1 = _gk15(panel, a, m)
+        v2, e2 = _gk15(panel, m, b)
         n_evals += 30
         n_intervals += 1
         heapq.heappush(heap, (-e1, serial, a, m, v1, e1))
@@ -332,9 +312,9 @@ def integrate(
             return ft / (1.0 - u)
 
         cuts = [-math.expm1(-(b - lo)) for b in breakpoints if b > lo]
-        return _adaptive(_gk15, mapped, 0.0, 1.0, tol, cuts)
+        return _adaptive(lambda us: [mapped(u) for u in us], 0.0, 1.0, tol, cuts)
 
-    return _adaptive(_gk15, g, domain.lo, domain.hi, tol, breakpoints)
+    return _adaptive(lambda xs: [g(x) for x in xs], domain.lo, domain.hi, tol, breakpoints)
 
 
 def integrate_array(
@@ -352,7 +332,16 @@ def integrate_array(
     """
     if math.isinf(domain.hi):
         raise ValueError("integrate_array needs a finite domain")
-    return _adaptive(_gk15_array, fv, domain.lo, domain.hi, tol, breakpoints)
+
+    def panel(xs: list[float]) -> list[float]:
+        y = np.asarray(fv(np.array(xs)), dtype=float)
+        bad = ~np.isfinite(y)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise EvaluationError(xs[i], float(y[i]))
+        return y.tolist()
+
+    return _adaptive(panel, domain.lo, domain.hi, tol, breakpoints)
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,11 @@ def exp_e_by_quadrature(x: float, tol: float = 1e-12) -> float:
     return integrate(g, IntegrationDomain(0.0, 1.0), tol).value
 
 
-def exp_e1_by_quadrature(x: float, tol: float = 1e-12) -> float:
+# Absolute tolerance of the defining-integral E1.
+_E1_QUAD_TOL = 1e-12
+
+
+def exp_e1_by_quadrature(x: float) -> float:
     """E1(x) from its defining integral, via v = x/t onto (0, 1]."""
     if x <= 0.0:
         raise ValueError("E1 requires x > 0")
@@ -113,7 +117,7 @@ def exp_e1_by_quadrature(x: float, tol: float = 1e-12) -> float:
             return 0.0
         return math.exp(-x / v) / v
 
-    return integrate(g, IntegrationDomain(0.0, 1.0), tol).value
+    return integrate(g, IntegrationDomain(0.0, 1.0), _E1_QUAD_TOL).value
 
 
 def verify_e_identities(a: float, b: float, x: float, tol: float = DEFAULT_TOL) -> float:

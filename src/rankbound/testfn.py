@@ -272,14 +272,22 @@ def _min_re_transform(f, lo: float, hi: float, feature: float) -> float:
     # cos(tau x) over [lo, hi]; it is even in tau, so only tau >= 0 is scanned.
     # One fixed Kronrod rule, with panels short against both the wavelength
     # and the feature length of f, serves the grid; f gets the node array.
+    # The node count grows like 1/feature, so the cosines go in blocks of
+    # tau columns of about 2^20 entries, which bounds the memory.  Blocks
+    # are a multiple of 8 columns wide because OpenBLAS's matrix-vector
+    # kernel rounds a column differently only when it falls in a remainder
+    # past a multiple of 8; so nearly every column rounds as in one
+    # full-width product.
     width = min(feature, math.pi / (4.0 * (_TAU_MAX + 1.0)))
     nodes, weights = composite_gk15(lo, hi, int(math.ceil((hi - lo) / width)))
     wphi = weights * np.asarray(f(nodes), dtype=float)
-    cosmat = np.cos(nodes[:, None] * _TAUS[None, :])
+    rows = [wphi * np.exp(sg * nodes) for sg in _SIGMAS]
+    step = 8 * max(1, 2**17 // nodes.size)
     best = math.inf
-    for sg in _SIGMAS:
-        vals = (wphi * np.exp(sg * nodes)) @ cosmat
-        best = min(best, float(vals.min()))
+    for j in range(0, _TAUS.size, step):
+        cosmat = np.cos(nodes[:, None] * _TAUS[None, j : j + step])
+        for row in rows:
+            best = min(best, float((row @ cosmat).min()))
     return best
 
 

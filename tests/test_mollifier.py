@@ -6,6 +6,7 @@ pinned.
 """
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ import pytest
 from rankbound.mollifier import (
     ArithTable,
     MollifierParams,
-    g_cap,
     s_sums,
     truncated_zeta_check,
     truncated_zeta_error_scale,
@@ -86,6 +86,19 @@ def test_params_validation():
     for M, a, d in ((9, 0.5, 0.05), (100, 0.0, 0.05), (100, 1.0, 0.05), (100, 0.5, 0.0)):
         with pytest.raises(ValueError):
             MollifierParams(M, a, d)
+
+
+def g_cap(M: float, a: float, x: float) -> float:
+    """Logarithmic taper of the mollifier: 1 up to M^a, log-linear down to 0 at M."""
+    if x <= 0.0:
+        raise ValueError("taper defined for x > 0")
+    if M <= 1.0 or not 0.0 < a < 1.0:
+        raise ValueError("need M > 1 and a in (0, 1)")
+    if x >= M:
+        return 0.0
+    if x <= M**a:
+        return 1.0
+    return math.log(x / M) / ((a - 1.0) * math.log(M))
 
 
 def test_g_cap_shape():
@@ -178,6 +191,38 @@ def test_s_sums_frozen(table, delta):
     for got, ref in zip((ss.S, ss.S1, ss.S2, ss.S3), want):
         assert got == pytest.approx(ref, abs=1e-9)
     assert ss.S == pytest.approx(ss.S1 + ss.S2 + ss.S3, abs=1e-12)
+
+
+# float.hex of all eight SSums fields.  A sha256 pins the 3 x 3 grid of
+# (a, delta) at M = 10^5; the values themselves are pinned at M = 10^4 with
+# a = 1/2 and 1/4, where M^a is an exact integer, so the k = M^a boundary of
+# the untapered prefix is pinned too.
+S_SUMS_GRID_SHA256 = "86f39c8d9063473710dad167919dd762ba6c5525e2ad157572cfcfa554b2278d"
+S_SUMS_AT_EXACT_KNEE = {
+    0.5: (
+        "0x1.d913302f81f1ep+0", "0x1.0a068fb95da26p-1", "0x1.d5f3197f8a30dp-2",
+        "0x1.bd2643e5e128ep-1", "0x1.d2a31fa9580c8p-2", "0x1.f126fa6607f2fp-2",
+        "0x1.d965d8a015b31p-1", "0x1.0c89d80872f8ap+1",
+    ),
+    0.25: (
+        "0x1.9bec0fd091751p+0", "0x1.bded10a0736b7p-2", "0x1.0ccc78404ec3cp-1",
+        "0x1.4c151f109a707p-1", "0x1.718e1e51027b4p-2", "0x1.23df9645b84b2p-1",
+        "0x1.66049547e8537p-1", "0x1.d49220f605bf8p+0",
+    ),
+}
+
+
+def test_s_sums_exact_bits(table):
+    grid = [
+        " ".join(v.hex() for v in s_sums(table, MollifierParams(100000, a, d)))
+        for a in (0.3, 0.5, 0.7)
+        for d in (0.02, 0.05, 0.1)
+    ]
+    assert hashlib.sha256("\n".join(grid).encode()).hexdigest() == S_SUMS_GRID_SHA256
+    for a, want in S_SUMS_AT_EXACT_KNEE.items():
+        assert (10000.0**a).is_integer()
+        got = s_sums(table, MollifierParams(10000, a, 0.05))
+        assert tuple(v.hex() for v in got) == want
 
 
 def test_s_sums_independent_of_t(table):

@@ -1,17 +1,21 @@
 """Adaptive Gauss-Kronrod integrator: accuracy, error paths, measures."""
 
+import hashlib
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rankbound.quadrature as q
+from rankbound import testfn
 from rankbound.quadrature import (
     ConvergenceError,
     EvaluationError,
     IntegrationDomain,
     Measure,
     PiecewiseSmoothFn,
+    composite_gk15,
     integrate,
     integrate_array,
     integrate_measure,
@@ -98,6 +102,55 @@ def test_integrate_array_matches_integrate():
         integrate_array(fv, IntegrationDomain(0.0))
     with pytest.raises(ValueError, match="tolerance"):
         integrate_array(fv, dom, tol=0.0)
+
+
+def _pin(r):
+    return r.value.hex(), r.err_estimate.hex(), r.n_evals
+
+
+def test_exact_bits():
+    # Value, error estimate and evaluation count of a finite and a ray
+    # integral with a breakpoint, the finite one through both entry points,
+    # and the bytes of a composite rule: any change to the node layout or to
+    # the order of the panel sums shows here.
+    runge = ("0x1.c7744a2454c4bp-3", "0x1.1bd84cccccccdp-43", 330)
+    dom, cuts = IntegrationDomain(-1.0, 2.0), (0.3,)
+    r = integrate(lambda x: abs(x - 0.3) / (1.0 + 25.0 * x * x), dom, 1e-12, cuts)
+    assert _pin(r) == runge
+    ra = integrate_array(lambda xs: abs(xs - 0.3) / (1.0 + 25.0 * xs * xs), dom, 1e-12, cuts)
+    assert _pin(ra) == runge
+    ray = integrate(
+        lambda t: math.exp(-t) * abs(t - 2.0), IntegrationDomain(0.0), 1e-12, breakpoints=(2.0,)
+    )
+    assert _pin(ray) == ("0x1.454aaa8efde92p+0", "0x1.0d2443dd6b215p-40", 1050)
+    nodes, weights = composite_gk15(-1.1, 1.1, 37)
+    assert nodes.shape == weights.shape == (37 * 15,)
+    assert hashlib.sha256(nodes.tobytes() + weights.tobytes()).hexdigest() == (
+        "4f2441736281ae50b374fc504ecfaf50bcbad47863c4f8e24f39ae8df24af1d7"
+    )
+
+
+def test_rounding_level_tol_fails_fast_with_its_reason():
+    # Lemma 1's inner transform integral, x e^(s x) against phi_0 at the
+    # largest s that check reaches, is about 45,483, where one ulp is 7.3e-12.
+    # A tol under that is met, if ever, only by rounding luck; these two fail
+    # quickly, each naming why.
+    d = testfn.limit_measure(0).density
+    s = 16.85280728362608
+    start = time.perf_counter()
+    for tol, why in (
+        (1e-13, "the running error sum met tol, its exact sum did not"),
+        (3e-14, "the error stalled"),
+    ):
+        with pytest.raises(ConvergenceError, match=why) as exc:
+            integrate(
+                lambda x: x * math.exp(s * x) * d(x),
+                IntegrationDomain(-1.0, 1.0),
+                tol,
+                breakpoints=(0.0,),
+            )
+        assert exc.value.best.value == pytest.approx(45483.196, rel=1e-7)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_width_floor_returns_best_estimate():

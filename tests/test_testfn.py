@@ -1,6 +1,7 @@
 """Smoothed bump family, its eps -> 0 limit measures, and their transforms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,21 @@ def test_positivity_default_scan():
     got = check_positivity(0.05)
     assert got == pytest.approx(7.382915891923276e-06, rel=1e-6)
     assert got > 0.0
+
+
+def test_positivity_memory_bounded():
+    # The scan's cosines go in blocks of tau columns, so its memory stays
+    # bounded while the node count grows like 1/eps; the whole cosine matrix
+    # at this eps would take the peak to about 112 MiB.
+    testfn._table(0.005)
+    tracemalloc.start()
+    try:
+        got = check_positivity(0.005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got > 0.0
+    assert peak < 80 * 2**20
 
 
 def test_positivity_indicator_counterexample():
