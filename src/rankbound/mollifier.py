@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,11 +44,22 @@ class MollifierParams:
 
 
 class ArithTable:
-    """Smallest-prime-factor sieve up to ``limit`` with Mobius values.
+    """Sieved tables up to ``limit``: smallest prime factors ``spf``, the
+    ``primes``, Mobius values ``mu`` (int8), and per exponent the
+    multiplicative tables omega and the base weights (the latter cached).
 
-    The sieve yields the primes; the Mobius values and the multiplicative
-    tables (omega, the base weights) are sieved from them as numpy vectors,
-    the latter two cached per exponent.
+    Every k <= limit has at most one prime factor above r = isqrt(limit); it
+    divides k to the first power and is k's largest prime factor (Bays and
+    Hudson, BIT 17, 1977).  So only the small primes, p <= r, get a strided
+    pass of their own.  The large primes are covered by cofactor: for each
+    j = 1 .. limit // (r + 1) one pass reaches j p for every large p <=
+    limit / j at once (``_by_cofactor``).  The small passes run in ascending
+    order and the large prime of k comes last, so omega_s(k) is the same
+    product, in the same order, as one strided pass per prime in ascending
+    order gives; mu is integer, where order does not matter.  2 and 3 always
+    go by stride, because numpy's vectorised pow does not reproduce the
+    scalar pow's bits for them (2 at s = 1.1); above them it does, which
+    ``tests/test_mollifier.py`` pins.
     """
 
     def __init__(self, limit: int) -> None:
@@ -66,15 +77,26 @@ class ArithTable:
         spf[rest] = rest  # remaining entries are prime (and 0, 1 map to themselves)
         self.spf = spf
         self.primes = np.nonzero(spf[2:] == np.arange(2, n))[0] + 2
-        mu = np.ones(n, dtype=np.int64)
+        self._n_small = int(np.searchsorted(self.primes, max(math.isqrt(limit), 3), side="right"))
+        mu = np.ones(n, dtype=np.int8)
         mu[0] = 0
-        for p in self.primes:
-            p = int(p)
+        for p in self.primes[: self._n_small].tolist():
             mu[p::p] *= -1
-            if p * p <= limit:
-                mu[p * p :: p * p] = 0
+            mu[p * p :: p * p] = 0
+        for _, idx in self._by_cofactor():
+            mu[idx] *= -1
         self.mu = mu
         self._base_cache: dict[float, np.ndarray] = {}
+
+    def _by_cofactor(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(m, j * large[:m]) for each cofactor j, with large[:m] the large
+        primes p <= limit // j; each multiple of a large prime comes once."""
+        large = self.primes[self._n_small :]
+        if large.size == 0:
+            return
+        for j in range(1, self.limit // int(large[0]) + 1):
+            m = int(np.searchsorted(large, self.limit // j, side="right"))
+            yield m, j * large[:m]
 
     def check_n(self, n: int) -> None:
         if not 1 <= n <= self.limit:
@@ -83,8 +105,11 @@ class ArithTable:
     def omega_table(self, s: float) -> np.ndarray:
         """omega_s(k) = prod over p | k of (1 - p^-s)^-1, for all k <= limit (uncached)."""
         tbl = np.ones(self.limit + 1)
-        for p in self.primes:
-            tbl[int(p) :: int(p)] *= 1.0 / (1.0 - float(p) ** (-s))
+        for p in self.primes[: self._n_small].tolist():
+            tbl[p::p] *= 1.0 / (1.0 - float(p) ** (-s))
+        f = 1.0 / (1.0 - self.primes[self._n_small :].astype(float) ** (-s))
+        for m, idx in self._by_cofactor():
+            tbl[idx] *= f[:m]
         return tbl
 
     def base_vector(self, delta: float) -> np.ndarray:

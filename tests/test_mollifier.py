@@ -72,6 +72,60 @@ def test_sieve_against_trial_division(small_table):
     ]
 
 
+def _per_prime_tables(limit, exponents):
+    # one strided pass per prime, in ascending order: the table's old loops
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if is_prime[i]:
+            is_prime[i * i :: i] = False
+    primes = np.nonzero(is_prime)[0]
+    mu = np.ones(limit + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in primes:
+        p = int(p)
+        mu[p::p] *= -1
+        if p * p <= limit:
+            mu[p * p :: p * p] = 0
+    omegas = []
+    for s in exponents:
+        tbl = np.ones(limit + 1)
+        for p in primes:
+            tbl[int(p) :: int(p)] *= 1.0 / (1.0 - float(p) ** (-s))
+        omegas.append(tbl)
+    return primes, mu, omegas
+
+
+@pytest.mark.parametrize("limit", [2, 3, 8, 9, 10, 48, 49, 50, 97, 1000, 30030, 100001, 300007])
+def test_arith_table_matches_per_prime_loop(limit):
+    # squares of primes and their neighbours, where isqrt(limit) is prime and
+    # the split between strided and cofactor primes moves
+    exponents = (1.04, 1.1, 1.2, 1.5, 3.0)
+    primes, mu, omegas = _per_prime_tables(limit, exponents)
+    t = ArithTable(limit)
+    assert np.array_equal(t.primes, primes)
+    assert np.array_equal(t.mu, mu)
+    for s, want in zip(exponents, omegas):
+        assert np.array_equal(t.omega_table(s).view(np.int64), want.view(np.int64))
+
+
+def test_large_prime_factors_match_scalar_pow():
+    # The cofactor passes take the factors of the primes above isqrt(limit)
+    # from numpy's vectorised pow; at a large prime p, omega_s(p) is that
+    # factor alone.  Each limit in the chain 3e6, 1732, 41, 6 puts the primes
+    # between the next one and itself above its split, so together they cover
+    # every prime from 5 to 3e6.
+    limit = 3_000_000
+    while limit > 3:
+        t = ArithTable(limit)
+        large = t.primes[t.primes > max(math.isqrt(limit), 3)]
+        for delta in (0.02, 0.05, 0.1):
+            s = 1.0 + 2.0 * delta
+            want = np.array([1.0 / (1.0 - float(p) ** (-s)) for p in large.tolist()])
+            assert np.array_equal(t.omega_table(s)[large].view(np.int64), want.view(np.int64))
+        limit = math.isqrt(limit)
+
+
 def test_sieve_limits(small_table):
     with pytest.raises(ValueError):
         small_table.check_n(401)
