@@ -7,6 +7,10 @@ residual; the randomized family built on it is the package's evidence that
 the identity (and hence the detector inequality derived from it) is coded
 correctly.  detector_weight and shrunk_box give the normalized counting
 weight of a detected zero and the inner box on which it is at least 1.
+
+lemma6_check keeps no memo: per box it computes the values its integration
+variable leaves fixed once (2 cos(rate t1), 2 cos(rate t2) and
+c0 exp(-rate sigma')), and per ray node c0 exp(-rate beta) once for both rays.
 """
 from __future__ import annotations
 
@@ -29,6 +33,16 @@ __all__ = [
 MU = 0.5 * (math.pi - 1.0)
 
 
+def _log_abs(w: float, two_cos: float) -> float:
+    # log |h| = log |1 - w e^(-i rate y)| from w = c0 exp(-rate x) and
+    # 2 cos(rate y): the one formula behind SyntheticH.log_abs and the
+    # integrands of lemma6_check, which hoist whichever factor their
+    # integration variable leaves fixed.
+    if w == 0.0:
+        return 0.0
+    return 0.5 * math.log1p(w * (w - two_cos))
+
+
 @dataclass(frozen=True)
 class SyntheticH:
     """h(s) = 1 - c0 exp(-rate s): zeros on a vertical line, explicit decay."""
@@ -44,10 +58,7 @@ class SyntheticH:
 
     def log_abs(self, x: float, y: float) -> float:
         """log |h(x + i y)|, via log1p for accuracy when h is near 1."""
-        w = self.c0 * math.exp(-self.rate * x)
-        if w == 0.0:
-            return 0.0
-        return 0.5 * math.log1p(w * (w - 2.0 * math.cos(self.rate * y)))
+        return _log_abs(self.c0 * math.exp(-self.rate * x), 2.0 * math.cos(self.rate * y))
 
     def zeros_in(self, t_lo: float, t_hi: float) -> list[tuple[float, float]]:
         """All zeros x0 + i y with t_lo <= y <= t_hi (x0 = log(c0)/rate)."""
@@ -103,16 +114,18 @@ def lemma6_check(h: SyntheticH, box: DetectorBox, tol: float = 1e-9) -> tuple[fl
     configurations are rejected rather than silently misclassified).
     """
     w = box.width
-    if h.c0 == 0.0:
+    c0, rate, sp, t1, t2 = h.c0, h.rate, box.sigma_prime, box.t1, box.t2
+    if c0 == 0.0:
         # log|h| vanishes identically: both sides are zero.
         return (0.0, 0.0, 0.0)
-    if h.rate <= math.pi / w:
+    if rate <= math.pi / w:
         raise ValueError(
-            f"decay hypothesis violated: rate {h.rate} <= pi/(t2 - t1) = {math.pi / w:.6g}"
+            f"decay hypothesis violated: rate {rate} <= pi/(t2 - t1) = {math.pi / w:.6g}"
         )
 
-    x0 = math.log(h.c0) / h.rate
-    nearby = h.zeros_in(box.t1 - 1.0, box.t2 + 1.0)
+    log_c0 = math.log(c0)
+    x0 = log_c0 / rate
+    nearby = h.zeros_in(t1 - 1.0, t2 + 1.0)
     for bx, by in nearby:
         if _boundary_distance(box, bx, by) < 1e-6:
             raise ValueError(
@@ -121,48 +134,45 @@ def lemma6_check(h: SyntheticH, box: DetectorBox, tol: float = 1e-9) -> tuple[fl
 
     lhs = 0.0
     for bx, by in nearby:
-        if bx > box.sigma_prime and box.t1 < by < box.t2:
-            lhs += (
-                2.0
-                * w
-                * math.sin(math.pi * (by - box.t1) / w)
-                * math.sinh(math.pi * (bx - box.sigma_prime) / w)
-            )
+        if bx > sp and t1 < by < t2:
+            lhs += 2.0 * w * math.sin(math.pi * (by - t1) / w) * math.sinh(math.pi * (bx - sp) / w)
 
-    seg_cuts = [by for _, by in nearby if box.t1 < by < box.t2]
+    # Up the segment x = sigma' is fixed, so c0 exp(-rate sigma') is too.
+    w_seg = c0 * math.exp(-rate * sp)
     seg = integrate(
-        lambda t: math.sin(math.pi * (t - box.t1) / w) * h.log_abs(box.sigma_prime, t),
-        IntegrationDomain(box.t1, box.t2),
+        lambda t: math.sin(math.pi * (t - t1) / w) * _log_abs(w_seg, 2.0 * math.cos(rate * t)),
+        IntegrationDomain(t1, t2),
         tol,
-        breakpoints=seg_cuts,
+        breakpoints=[by for _, by in nearby if t1 < by < t2],
     ).value
 
     # The ray integrand is sinh(pi (beta - sigma')/w) * (log|h| at both ray
     # heights); it decays like exp(-(rate - pi/w) beta).  Truncate where the
     # envelope is at least exp(-80) below its start, never closer than
     # 400/rate past sigma'.
-    margin = h.rate - math.pi / w
-    hi = box.sigma_prime + max(
-        400.0 / h.rate,
-        (80.0 + max(0.0, math.log(h.c0)) + h.rate * abs(box.sigma_prime)) / margin,
-    )
+    margin = rate - math.pi / w
+    hi = sp + max(400.0 / rate, (80.0 + max(0.0, log_c0) + rate * abs(sp)) / margin)
 
-    # Far out, log|h| shrinks like c0 exp(-rate beta) while sinh grows like
+    # Along the rays the heights are fixed, so both cosines are computed
+    # once, and c0 exp(-rate beta) once per node serves both rays.  Far out,
+    # log|h| shrinks like c0 exp(-rate beta) while sinh grows like
     # exp(pi beta / w); the product stays meaningful long after log|h| itself
     # underflows in doubles.  Past log(c0) - rate beta < -300 the quadratic
     # term of log1p is below 1e-260 relative, so log|h(beta, t1)| +
     # log|h(beta, t2)| = -(cos(rate t1) + cos(rate t2)) c0 exp(-rate beta)
     # exactly to double precision, and that product is taken in log space.
-    cos_sum = math.cos(h.rate * box.t1) + math.cos(h.rate * box.t2)
-    log_c0 = math.log(h.c0)
+    cos1, cos2 = math.cos(rate * t1), math.cos(rate * t2)
+    two_cos1, two_cos2 = 2.0 * cos1, 2.0 * cos2
+    cos_sum = cos1 + cos2
 
     def ray_integrand(beta: float) -> float:
-        arg = math.pi * (beta - box.sigma_prime) / w
+        arg = math.pi * (beta - sp) / w
         if arg <= 0.0:
             return 0.0
-        logs = log_c0 - h.rate * beta
+        logs = log_c0 - rate * beta
         if logs > -300.0:
-            la = h.log_abs(beta, box.t1) + h.log_abs(beta, box.t2)
+            wb = c0 * math.exp(-rate * beta)
+            la = _log_abs(wb, two_cos1) + _log_abs(wb, two_cos2)
             if la == 0.0:
                 return 0.0
             if arg < 700.0:
@@ -177,10 +187,8 @@ def lemma6_check(h: SyntheticH, box: DetectorBox, tol: float = 1e-9) -> tuple[fl
             return 0.0
         return -math.copysign(math.exp(log_mag), cos_sum)
 
-    ray_cuts = [x0] if box.sigma_prime < x0 < hi else []
-    rays = integrate(
-        ray_integrand, IntegrationDomain(box.sigma_prime, hi), tol, breakpoints=ray_cuts
-    ).value
+    ray_cuts = [x0] if sp < x0 < hi else []
+    rays = integrate(ray_integrand, IntegrationDomain(sp, hi), tol, breakpoints=ray_cuts).value
 
     rhs = seg + rays
     return (lhs, rhs, abs(lhs - rhs))

@@ -195,14 +195,12 @@ def composite_gk15(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.
     return nodes, weights
 
 
-def _checked(f: Callable[[float], float]) -> Callable[[float], float]:
-    def g(x: float) -> float:
-        y = f(x)
-        if not math.isfinite(y):
-            raise EvaluationError(x, y)
-        return float(y)
-
-    return g
+def _finite(xs: list[float], ys: list) -> list[float]:
+    # One C-level pass per panel; on failure, name the leftmost bad node.
+    if not all(map(math.isfinite, ys)):
+        i = next(i for i, y in enumerate(ys) if not math.isfinite(y))
+        raise EvaluationError(xs[i], ys[i])
+    return list(map(float, ys))
 
 
 def _adaptive(panel, lo: float, hi: float, tol: float, cuts: Sequence[float]) -> QuadResult:
@@ -295,26 +293,26 @@ def integrate(
     fixed run of splits), the interval budget runs out, or the running error
     sum met ``tol`` but the exact sum of the panel errors does not.
     """
-    g = _checked(f)
     if math.isinf(domain.hi):
         lo = domain.lo
 
-        def mapped(u: float) -> float:
+        def mapped(us: list[float]) -> list[float]:
             # t = lo - log(1 - u) sends (0, 1) onto (lo, inf).  Deep
             # subdivision against a slowly decaying integrand can round a
             # node to u = 1 exactly; that is t = inf, where anything this
-            # map is valid for sits below the truncation threshold.
-            if u >= 1.0:
-                return 0.0
-            ft = g(lo - math.log1p(-u))
-            if abs(ft) < _TRUNCATE_BELOW:
-                return 0.0
-            return ft / (1.0 - u)
+            # map is valid for sits below the truncation threshold.  Nodes
+            # ascend, so such nodes end the panel.
+            ts = [lo - math.log1p(-u) for u in us if u < 1.0]
+            fts = _finite(ts, list(map(f, ts)))
+            out = [0.0 if abs(ft) < _TRUNCATE_BELOW else ft / (1.0 - u) for u, ft in zip(us, fts)]
+            return out + [0.0] * (len(us) - len(out))
 
         cuts = [-math.expm1(-(b - lo)) for b in breakpoints if b > lo]
-        return _adaptive(lambda us: [mapped(u) for u in us], 0.0, 1.0, tol, cuts)
+        return _adaptive(mapped, 0.0, 1.0, tol, cuts)
 
-    return _adaptive(lambda xs: [g(x) for x in xs], domain.lo, domain.hi, tol, breakpoints)
+    return _adaptive(
+        lambda xs: _finite(xs, list(map(f, xs))), domain.lo, domain.hi, tol, breakpoints
+    )
 
 
 def integrate_array(
@@ -334,12 +332,7 @@ def integrate_array(
         raise ValueError("integrate_array needs a finite domain")
 
     def panel(xs: list[float]) -> list[float]:
-        y = np.asarray(fv(np.array(xs)), dtype=float)
-        bad = ~np.isfinite(y)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise EvaluationError(xs[i], float(y[i]))
-        return y.tolist()
+        return _finite(xs, np.asarray(fv(np.array(xs)), dtype=float).tolist())
 
     return _adaptive(panel, domain.lo, domain.hi, tol, breakpoints)
 

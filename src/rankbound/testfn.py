@@ -12,6 +12,11 @@ Re(transform) on a fixed complex grid.
 The bump is exactly 1 on [-1/2, 1/2] and 0 beyond 1/2 + eps, so each
 convolution at x is a prefix sum of the bump's quadrature samples over the
 flat part plus short dot products over the two ramp windows around x -+ 1/2.
+
+Memos: ``_table`` keeps one convolution table per eps; ``limit_measure``
+builds one Measure per order; ``_transform`` keeps the transform integrals
+behind :func:`laplace`, :func:`laplace_density` and :func:`laplace_deriv`,
+keyed on (measure, s, tol, moment).
 """
 from __future__ import annotations
 
@@ -201,6 +206,7 @@ def _d2(x: float) -> float:
     return 2.0 * c * s - (1.0 - x) * c * (c * c - s * s)
 
 
+@functools.lru_cache(maxsize=None)
 def limit_measure(order: int) -> Measure:
     """Total-variation limit of the order-th derivative of the smoothed function.
 
@@ -235,6 +241,23 @@ def limit_measure(order: int) -> Measure:
     raise ValueError("order must be 0, 1 or 2")
 
 
+# Lemma 1's outer integral runs the same u-nodes at every a, so a sweep over
+# a asks for the same inner transform integrals again and again: 735 keys
+# (three measures, 245 nodes each) over 108 verify jobs at tol 1e-9, and
+# 975 in `verify --suite all` at tol 1e-10.  This holds two such tols.  A
+# Measure hashes by its fields, so laplace_density's atom-free copy of a
+# measure finds the entry of an earlier copy.
+_TRANSFORM_MEMO = 2048
+
+
+@functools.lru_cache(maxsize=_TRANSFORM_MEMO)
+def _transform(m: Measure, s: float, tol: float, moment: int) -> float:
+    # Integral of x^moment exp(s x) dm(x), moment 0 or 1.
+    if moment:
+        return integrate_measure(lambda x: x * math.exp(s * x), m, tol)
+    return integrate_measure(lambda x: math.exp(s * x), m, tol)
+
+
 def laplace(m: Measure, s: float, tol: float = DEFAULT_TOL) -> float:
     """Two-sided transform integral of exp(s x) dm(x), |s| <= 4.
 
@@ -243,20 +266,20 @@ def laplace(m: Measure, s: float, tol: float = DEFAULT_TOL) -> float:
     """
     if abs(s) > 4.0:
         raise ValueError("transform argument limited to |s| <= 4")
-    return integrate_measure(lambda x: math.exp(s * x), m, tol)
+    return _transform(m, s, tol, 0)
 
 
 def laplace_density(m: Measure, s: float, tol: float = DEFAULT_TOL) -> float:
     """Transform of the density part alone; point masses are left out."""
     if m.density is None:
         return 0.0
-    return integrate_measure(lambda x: math.exp(s * x), Measure(m.density, ()), tol)
+    return _transform(Measure(m.density, ()), s, tol, 0)
 
 
 def laplace_deriv(m: Measure, s: float, tol: float = DEFAULT_TOL) -> float:
     # d/ds of the transform: integral of x exp(s x) dm(x).  No |s| cap; the
     # one caller that sweeps s to infinity guards the product itself.
-    return integrate_measure(lambda x: x * math.exp(s * x), m, tol)
+    return _transform(m, s, tol, 1)
 
 
 # The positivity scan's grid of transform arguments s = sigma + i tau:

@@ -140,6 +140,46 @@ def test_random_family_covers_zero_counts():
     assert set(counts) == {0, 1, 2, 3}
 
 
+# lemma6_check's (lhs, rhs, residual) at tol 1e-9, as float.hex.
+LEMMA6_FIXED_HEX = (
+    ("0x0.0p+0", "0x1.c000000000000p-52", "0x1.c000000000000p-52"),
+    ("0x1.26931275084d7p-1", "0x1.26931275084d6p-1", "0x1.0000000000000p-53"),
+    ("0x1.a81bfc4a03be6p-2", "0x1.a81bfc4a03bdfp-2", "0x1.c000000000000p-52"),
+    ("0x1.c7b61cec57068p-1", "0x1.c7b61cec57065p-1", "0x1.8000000000000p-52"),
+)
+# The first ten cases of random_detector_cases(7) that lemma6_check accepts.
+LEMMA6_RANDOM7_HEX = (
+    ("0x0.0p+0", "0x1.8500000000000p-56", "0x1.8500000000000p-56"),
+    ("0x0.0p+0", "0x1.2000000000000p-57", "0x1.2000000000000p-57"),
+    ("0x0.0p+0", "-0x1.0000000000000p-54", "0x1.0000000000000p-54"),
+    ("0x0.0p+0", "0x1.a400000000000p-54", "0x1.a400000000000p-54"),
+    ("0x0.0p+0", "-0x1.dc80000000000p-61", "0x1.dc80000000000p-61"),
+    ("0x0.0p+0", "-0x1.8000000000000p-58", "0x1.8000000000000p-58"),
+    ("0x0.0p+0", "0x1.8000000000000p-55", "0x1.8000000000000p-55"),
+    ("0x1.b8e91b2083455p+0", "0x1.b8e91b2083457p+0", "0x1.0000000000000p-51"),
+    ("0x0.0p+0", "-0x1.b800000000000p-59", "0x1.b800000000000p-59"),
+    ("0x0.0p+0", "-0x1.0000000000000p-64", "0x1.0000000000000p-64"),
+)
+
+
+def _hex(triple):
+    return tuple(v.hex() for v in triple)
+
+
+def test_lemma6_exact_bits():
+    fixed = tuple(_hex(lemma6_check(h, box, 1e-9)) for h, box in checks.FIXED_DETECTOR_CASES)
+    assert fixed == LEMMA6_FIXED_HEX
+    accepted = []
+    for h, box in checks.random_detector_cases(7):
+        if len(accepted) == len(LEMMA6_RANDOM7_HEX):
+            break
+        try:
+            accepted.append(_hex(lemma6_check(h, box, 1e-9)))
+        except ValueError:
+            continue
+    assert tuple(accepted) == LEMMA6_RANDOM7_HEX
+
+
 def test_shrunk_box_geometry():
     box = DetectorBox(0.1, -0.3, 0.7)
     sg, it1, it2 = shrunk_box(box)

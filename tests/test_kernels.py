@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankbound import kernels
+from rankbound import kernels, testfn
 from rankbound.kernels import (
     big_f,
     big_k,
@@ -204,6 +204,49 @@ def test_g_domain():
 def test_lemma1_identity(a, order):
     # both sides independently by quadrature
     assert verify_lemma1(a, limit_measure(order)) < 1e-6
+
+
+# verify_lemma1 residuals, as float.hex: the `verify` CLI's four cases at its
+# default tol, and the acceptance test's four at 1e-9.
+LEMMA1_HEX = {
+    1e-10: {
+        (0.48, 0): "0x1.a2e4d80000000p-39",
+        (0.48, 2): "0x1.d1c3000000000p-38",
+        (0.7, 1): "0x1.6bcd780000000p-35",
+        (0.25, 0): "0x1.b4fea80000000p-42",
+    },
+    1e-9: {
+        (0.3, 0): "0x1.708a518000000p-37",
+        (0.48, 0): "0x1.ab6b630000000p-35",
+        (0.7, 1): "0x1.0393cb0000000p-32",
+        (0.48, 2): "0x1.5399000000000p-34",
+    },
+}
+
+
+def _lemma1_memos():
+    return (testfn._transform, kernels._big_f1, kernels._big_k1)
+
+
+def test_lemma1_exact_bits_cold_and_warm():
+    # The memos of the a-free values must not move a bit, whether a case
+    # computes them (cold) or finds them (warm).
+    for tol, cases in LEMMA1_HEX.items():
+        for memo in _lemma1_memos():
+            memo.cache_clear()
+        for sweep in ("cold", "warm"):
+            got = {(a, o): verify_lemma1(a, limit_measure(o), tol).hex() for a, o in cases}
+            assert got == cases, sweep
+
+
+def test_lemma1_second_a_adds_no_transform():
+    # Lemma 1's integrals run the same nodes at every a, so a second a at the
+    # same order and tol finds every a-free value in the memos.
+    m = limit_measure(1)
+    verify_lemma1(0.41, m, 1e-9)
+    before = [memo.cache_info().misses for memo in _lemma1_memos()]
+    verify_lemma1(0.63, m, 1e-9)
+    assert [memo.cache_info().misses for memo in _lemma1_memos()] == before
 
 
 def test_lemma1_excludes_endpoint():

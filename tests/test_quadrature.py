@@ -71,6 +71,22 @@ def test_evaluation_error_reports_original_coordinate():
     with pytest.raises(EvaluationError) as exc:
         integrate(f, IntegrationDomain(0.0), tol=1e-10)
     assert 2.0 < exc.value.abscissa < 4.0
+    # The first panel is u in (0, 1): the error names the leftmost node
+    # t = -log(1 - u) inside (2, 4), in t, not u.
+    ts = [-math.log1p(-(0.5 + 0.5 * x)) for x in q._GK15_X]
+    assert exc.value.abscissa == min(t for t in ts if 2.0 < t < 4.0)
+
+
+def test_evaluation_error_names_leftmost_node():
+    # Every node right of 0.5 is bad; the error names the leftmost of them
+    # in the first panel, [0, 1], and the value found there.
+    def f(x):
+        return math.inf if x > 0.5 else 1.0
+
+    with pytest.raises(EvaluationError) as exc:
+        integrate(f, IntegrationDomain(0.0, 1.0))
+    assert exc.value.abscissa == min(0.5 + 0.5 * x for x in q._GK15_X if x > 0.0)
+    assert exc.value.value == math.inf
 
 
 def test_integrate_array_matches_integrate():

@@ -161,6 +161,12 @@ def test_limit_measure_shapes():
             limit_measure(bad)
 
 
+def test_limit_measure_built_once():
+    # One Measure per order, so the transform memo keys on the same object.
+    for order in (0, 1, 2):
+        assert limit_measure(order) is limit_measure(order)
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_limit_densities_nonnegative(order):
     d = limit_measure(order).density
