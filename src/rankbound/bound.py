@@ -48,8 +48,8 @@ class BoundReport:
 @functools.lru_cache(maxsize=None)
 def _g_pair(a: float, tol: float) -> tuple[float, float]:
     return (
-        kernels.g_psi(a, testfn.limit_measure(0), tol),
-        kernels.g_psi(a, testfn.limit_measure(2), tol),
+        kernels.g_psi(a, testfn.limit_measure(0), tol)[0],
+        kernels.g_psi(a, testfn.limit_measure(2), tol)[0],
     )
 
 
@@ -105,8 +105,9 @@ def grid_reports(
 
 def minimize(
     delta: float, a_lo: float, a_hi: float, coarse_step: float, tol: float = 1e-10
-) -> tuple[float, BoundReport]:
-    """Coarse scan then one refinement pass at a tenth of the step.
+) -> BoundReport:
+    """The report at the minimizing a: a coarse scan, then one refinement
+    pass at a tenth of the step.
 
     Ties go to the smaller a at both stages.  A coarse grid with a single
     point is returned as-is: with no neighbors there is nothing to bracket a
@@ -115,9 +116,8 @@ def minimize(
     coarse = grid_reports(delta, a_lo, a_hi, coarse_step, tol)
     best = min(coarse, key=lambda r: (r.H, r.a))
     if len(coarse) == 1:
-        return best.a, best
+        return best
     lo = max(a_lo, best.a - coarse_step)
     hi = min(a_hi, best.a + coarse_step)
     fine = grid_reports(delta, lo, hi, coarse_step / 10.0, tol)
-    best = min(fine + [best], key=lambda r: (r.H, r.a))
-    return best.a, best
+    return min(fine + [best], key=lambda r: (r.H, r.a))

@@ -1,8 +1,8 @@
 """Command line interface: constants, single bound reports, a-scans, and the
 verification suites.
 
-Output is deterministic byte-for-byte for a fixed command line: fixed column
-orders, 12 significant digits in json/csv, 6 in tables, LF line endings.
+Output is deterministic byte-for-byte for a fixed command line; every command
+prints through ``_emit``, which holds the rules for the three formats.
 Exit codes: 0 on success, 1 when a verification suite fails (or a quadrature
 run cannot converge), 2 for usage and domain errors.
 """
@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import sys
 
 from . import bound, checks, detector, kernels, mollifier, testfn
@@ -33,9 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("table", "json", "csv"), default="table", dest="fmt"
     )
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for the randomized detector suite"
-    )
 
     parser = argparse.ArgumentParser(
         prog="rankbound",
@@ -48,9 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
         "constants",
         parents=[common],
         help="print the five pipeline constants with quadrature error estimates",
-    )
+    ).set_defaults(run=cmd_constants)
 
     b = sub.add_parser("bound", parents=[common], help="evaluate H(a, delta) at one point")
+    b.set_defaults(run=cmd_bound)
     b.add_argument("--a", type=float, required=True)
     b.add_argument("--delta", type=float, required=True)
 
@@ -59,26 +58,21 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="scan H over a grid of a (one row per point; last row is the refined minimizer)",
     )
+    s.set_defaults(run=cmd_scan)
     s.add_argument("--delta", type=float, default=0.5)
     s.add_argument("--a-min", type=float, default=0.30)
     s.add_argument("--a-max", type=float, default=0.70)
     s.add_argument("--step", type=float, default=0.01)
 
     v = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    v.set_defaults(run=cmd_verify)
+    v.add_argument(
+        "--seed", type=int, default=0, help="seed for the randomized detector suite"
+    )
     v.add_argument(
         "--suite", choices=("identities", "detector", "mollifier", "all"), default="all"
     )
     return parser
-
-
-def _sig(v: float, digits: int) -> str:
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.{digits}g}"
-
-
-def _round12(v: float) -> float:
-    return float(f"{v:.12g}")
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -100,81 +94,76 @@ def _csv(headers: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def cmd_constants(args) -> int:
-    m0 = testfn.limit_measure(0)
-    m1 = testfn.limit_measure(1)
-    m2 = testfn.limit_measure(2)
-    hat0, hat0_err = integrate_measure_with_err(lambda x: 1.0, m0, args.tol)
-    g0, g0_err = kernels.g_psi(1.0, m0, args.tol, with_err=True)
-    g1, g1_err = kernels.g_psi(1.0, m1, args.tol, with_err=True)
-    g2, g2_err = kernels.g_psi(1.0, m2, args.tol, with_err=True)
-    entries = [
-        ("phi0_hat_0", hat0, hat0_err),
-        ("c", kernels.c_const(), 0.0),
-        ("G_abs_phi_1", g0, g0_err),
-        ("G_abs_dphi_1", g1, g1_err),
-        ("G_abs_d2phi_1", g2, g2_err),
-    ]
-    if args.fmt == "json":
-        obj = {}
-        for name, val, err in entries:
-            obj[name] = _round12(val)
-            obj[name + "_err"] = _round12(err)
-        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+def _emit(fmt: str, headers: list[str], rows: list, obj: dict, footer: str = "") -> None:
+    """Print one command's result: the single place that knows the formats.
+
+    json prints ``obj`` (two-space indent) with every float at 12 significant
+    digits; ints and strings print as they are.  csv and table print
+    ``headers`` and ``rows``, number cells at 12 and 6 significant digits and
+    string cells as they are; only the table prints ``footer`` after them.
+    Every line ends in LF.
+    """
+
+    def _round12(v):
+        if isinstance(v, float):
+            return float(f"{v:.12g}")
+        if isinstance(v, dict):
+            return {k: _round12(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [_round12(x) for x in v]
+        return v
+
+    if fmt == "json":
+        sys.stdout.write(json.dumps(_round12(obj), indent=2) + "\n")
+        return
+    digits = 6 if fmt == "table" else 12
+    cells = [[c if isinstance(c, str) else f"{c:.{digits}g}" for c in row] for row in rows]
+    if fmt == "table":
+        sys.stdout.write(_table(headers, cells) + footer)
     else:
-        digits = 6 if args.fmt == "table" else 12
-        rows = [[name, _sig(val, digits), _sig(err, digits)] for name, val, err in entries]
-        render = _table if args.fmt == "table" else _csv
-        sys.stdout.write(render(["name", "value", "err_estimate"], rows))
+        sys.stdout.write(_csv(headers, cells))
+
+
+def cmd_constants(args) -> int:
+    hat0, hat0_err = integrate_measure_with_err(lambda x: 1.0, testfn.limit_measure(0), args.tol)
+    entries = [("phi0_hat_0", hat0, hat0_err), ("c", kernels.c_const(), 0.0)]
+    for order, name in enumerate(("G_abs_phi_1", "G_abs_dphi_1", "G_abs_d2phi_1")):
+        entries.append((name, *kernels.g_psi(1.0, testfn.limit_measure(order), args.tol)))
+    obj = {}
+    for name, val, err in entries:
+        obj[name] = val
+        obj[name + "_err"] = err
+    _emit(args.fmt, ["name", "value", "err_estimate"], entries, obj)
     return 0
 
 
-_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(bound.BoundReport))
-
-
 def cmd_bound(args) -> int:
-    rep = bound.h_of_a(args.a, args.delta, args.tol)
-    vals = [getattr(rep, f) for f in _REPORT_FIELDS]
-    if args.fmt == "json":
-        obj = {f: _round12(v) for f, v in zip(_REPORT_FIELDS, vals)}
-        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-    elif args.fmt == "csv":
-        sys.stdout.write(_csv(list(_REPORT_FIELDS), [[_sig(v, 12) for v in vals]]))
+    obj = dataclasses.asdict(bound.h_of_a(args.a, args.delta, args.tol))
+    if args.fmt == "table":  # one row per field
+        _emit(args.fmt, ["field", "value"], list(obj.items()), obj)
     else:
-        rows = [[f, _sig(v, 6)] for f, v in zip(_REPORT_FIELDS, vals)]
-        sys.stdout.write(_table(["field", "value"], rows))
+        _emit(args.fmt, list(obj), [list(obj.values())], obj)
     return 0
 
 
 def cmd_scan(args) -> int:
     reports = bound.grid_reports(args.delta, args.a_min, args.a_max, args.step, args.tol)
-    a_star, best = bound.minimize(args.delta, args.a_min, args.a_max, args.step, args.tol)
-
-    def row_of(r) -> list[float]:
-        return [r.a, r.H, r.bracket, r.g_phi_a, r.g_phi2_a]
-
+    best = bound.minimize(args.delta, args.a_min, args.a_max, args.step, args.tol)
     headers = ["a", "H", "bracket", "g_phi_a", "g_phi2_a"]
-    if args.fmt == "json":
-        obj = {
-            "delta": _round12(args.delta),
-            "rows": [
-                {h: _round12(v) for h, v in zip(headers, row_of(r))} for r in reports
-            ],
-            "minimizer": {f: _round12(getattr(best, f)) for f in _REPORT_FIELDS},
-        }
-        obj["minimizer"]["slack_to_6_5"] = _round12(6.5 - best.H)
-        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-    else:
-        digits = 6 if args.fmt == "table" else 12
-        rows = [[_sig(v, digits) for v in row_of(r)] for r in reports]
-        rows.append([_sig(v, digits) for v in row_of(best)])
-        render = _table if args.fmt == "table" else _csv
-        sys.stdout.write(render(headers, rows))
-        if args.fmt == "table":
-            sys.stdout.write(
-                f"minimum (refined, last row): a = {_sig(a_star, 6)}, "
-                f"H = {_sig(best.H, 6)}, slack to 6.5 = {_sig(6.5 - best.H, 6)}\n"
-            )
+    row_of = operator.attrgetter(*headers)
+    rows = [row_of(r) for r in reports]
+    slack = 6.5 - best.H
+    obj = {
+        "delta": args.delta,
+        "rows": [dict(zip(headers, row)) for row in rows],
+        "minimizer": {**dataclasses.asdict(best), "slack_to_6_5": slack},
+    }
+    rows.append(row_of(best))
+    footer = (
+        f"minimum (refined, last row): a = {best.a:.6g}, "
+        f"H = {best.H:.6g}, slack to 6.5 = {slack:.6g}\n"
+    )
+    _emit(args.fmt, headers, rows, obj, footer)
     return 0
 
 
@@ -263,36 +252,22 @@ def _verify_rows(args) -> checks.CheckList:
 
 
 def cmd_verify(args) -> int:
-    results = _verify_rows(args)
-    failures = sum(1 for _, _, _, ok in results if not ok)
-
-    if args.fmt == "json":
-        obj = {
-            "suite": args.suite,
-            "seed": args.seed,
-            "checks": [
-                {
-                    "name": name,
-                    "residual": _round12(res),
-                    "bound": _round12(lim),
-                    "status": "PASS" if ok else "FAIL",
-                }
-                for name, res, lim, ok in results
-            ],
-            "failures": failures,
-        }
-        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-    else:
-        digits = 6 if args.fmt == "table" else 12
-        rows = [
-            ["PASS" if ok else "FAIL", name, _sig(res, digits), _sig(lim, digits), str(args.seed)]
-            for name, res, lim, ok in results
-        ]
-        render = _table if args.fmt == "table" else _csv
-        sys.stdout.write(render(["status", "check", "residual", "bound", "seed"], rows))
-        if args.fmt == "table":
-            passed = len(results) - failures
-            sys.stdout.write(f"suite {args.suite}: {passed}/{len(results)} passed\n")
+    rows = [
+        ["PASS" if ok else "FAIL", name, res, lim, str(args.seed)]
+        for name, res, lim, ok in _verify_rows(args)
+    ]
+    failures = sum(1 for row in rows if row[0] == "FAIL")
+    obj = {
+        "suite": args.suite,
+        "seed": args.seed,
+        "checks": [
+            {"name": name, "residual": res, "bound": lim, "status": status}
+            for status, name, res, lim, _ in rows
+        ],
+        "failures": failures,
+    }
+    footer = f"suite {args.suite}: {len(rows) - failures}/{len(rows)} passed\n"
+    _emit(args.fmt, ["status", "check", "residual", "bound", "seed"], rows, obj, footer)
     return 0 if failures == 0 else 1
 
 
@@ -306,15 +281,7 @@ def main(argv=None) -> int:
         print(f"error: --tol must lie in [{_TOL_MIN:g}, {_TOL_MAX:g}]", file=sys.stderr)
         return 2
     try:
-        if args.command == "constants":
-            return cmd_constants(args)
-        if args.command == "bound":
-            return cmd_bound(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,9 +35,8 @@ MU = 0.5 * (math.pi - 1.0)
 
 def _log_abs(w: float, two_cos: float) -> float:
     # log |h| = log |1 - w e^(-i rate y)| from w = c0 exp(-rate x) and
-    # 2 cos(rate y): the one formula behind SyntheticH.log_abs and the
-    # integrands of lemma6_check, which hoist whichever factor their
-    # integration variable leaves fixed.
+    # 2 cos(rate y): the one formula behind the integrands of lemma6_check,
+    # which hoist whichever factor their integration variable leaves fixed.
     if w == 0.0:
         return 0.0
     return 0.5 * math.log1p(w * (w - two_cos))
@@ -55,10 +54,6 @@ class SyntheticH:
             raise ValueError("c0 must be nonnegative")
         if math.isnan(self.rate) or self.rate <= 0.0:
             raise ValueError("rate must be positive")
-
-    def log_abs(self, x: float, y: float) -> float:
-        """log |h(x + i y)|, via log1p for accuracy when h is near 1."""
-        return _log_abs(self.c0 * math.exp(-self.rate * x), 2.0 * math.cos(self.rate * y))
 
     def zeros_in(self, t_lo: float, t_hi: float) -> list[tuple[float, float]]:
         """All zeros x0 + i y with t_lo <= y <= t_hi (x0 = log(c0)/rate)."""

@@ -119,9 +119,10 @@ def big_k(a: float, x: float) -> float:
     return (2.0 / _C) * (ez + t2 - t3)
 
 
-def g_psi(a: float, psi: Measure, tol: float = DEFAULT_TOL, with_err: bool = False):
+def g_psi(a: float, psi: Measure, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """G_psi(a) = F(a, 1/2) * (transform of the smooth part of psi at 1)
-    plus the integral of x K(a, x) exp(x/2) against all of psi.
+    plus the integral of x K(a, x) exp(x/2) against all of psi, with its
+    error estimate: the pair (value, err_estimate).
 
     The transform factor deliberately sees only the density of psi, never its
     point masses; the kernel integral sees both.  The limit functionals this
@@ -136,11 +137,8 @@ def g_psi(a: float, psi: Measure, tol: float = DEFAULT_TOL, with_err: bool = Fal
         lambda x: x * big_k(a, x) * math.exp(0.5 * x), psi, tol
     )
     f_half = big_f(a, 0.5)
-    value = f_half * hat_smooth + ker
-    if with_err:
-        # Transform error folded in at the same tol scale as its integral.
-        return value, abs(f_half) * tol + ker_err
-    return value
+    # The transform's error is folded in at the same tol scale as its integral.
+    return f_half * hat_smooth + ker, abs(f_half) * tol + ker_err
 
 
 # Lemma 1's a = 1 halves, memoized per argument.  Its integrals run the same

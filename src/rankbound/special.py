@@ -133,8 +133,9 @@ def verify_e_identities(a: float, b: float, x: float, tol: float = DEFAULT_TOL) 
     first identity the literal ray is integrated when the decay rate allows
     the log map (rate >= 1); otherwise t = 2u makes it twice the defining
     integral of E((2/a - x)/2), which :func:`exp_e_by_quadrature` takes onto
-    (0, 1] with no decay requirement.  The second identity always goes through w = 1/u for the same reason: its
-    integrand decays like exp(-(b - a) u) and b - a may be small.
+    (0, 1] with no decay requirement.  The second identity always goes
+    through w = 1/u for the same reason: its integrand decays like
+    exp(-(b - a) u) and b - a may be small.
     """
     if a <= 0.0:
         raise ValueError("need a > 0")

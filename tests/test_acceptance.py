@@ -47,7 +47,7 @@ def test_criterion_2_constant_c():
 def test_criterion_3_g_functionals_at_one():
     targets = {0: 0.1535, 1: 0.3666, 2: 0.3321}
     t0 = time.perf_counter()
-    got = {j: g_psi(1.0, limit_measure(j)) for j in targets}
+    got = {j: g_psi(1.0, limit_measure(j))[0] for j in targets}
     dt = time.perf_counter() - t0
     gaps = {j: abs(got[j] - targets[j]) for j in targets}
     ok = max(gaps.values()) <= 5e-4 and dt < 30.0
@@ -64,14 +64,14 @@ def test_criterion_3_g_functionals_at_one():
 def test_criterion_4_bound_at_pinned_point_and_scan_minimum():
     rep = h_of_a(0.48, 0.5)
     t0 = time.perf_counter()
-    a_star, best = minimize(0.5, 0.30, 0.70, 0.01)
+    best = minimize(0.5, 0.30, 0.70, 0.01)
     dt = time.perf_counter() - t0
     ok = 6.49 <= rep.H <= 6.51 and best.H <= 6.5 and dt < 120.0
     _verdict(
         4,
         ok,
         f"H(0.48, 1/2) = {rep.H:.6f} (target [6.49, 6.51]); scan min "
-        f"H({a_star:.3f}) = {best.H:.6f} <= 6.5 in {dt:.1f} s",
+        f"H({best.a:.3f}) = {best.H:.6f} <= 6.5 in {dt:.1f} s",
     )
     assert 6.49 <= rep.H <= 6.51
     assert best.H <= 6.5

@@ -12,6 +12,7 @@ from rankbound.detector import (
     MU,
     DetectorBox,
     SyntheticH,
+    _log_abs,
     detector_weight,
     lemma6_check,
     shrunk_box,
@@ -35,10 +36,11 @@ def test_synthetic_h_validation():
 
 
 def test_log_abs_matches_direct_evaluation():
-    h = SyntheticH(math.e, 5.0)
+    c0, rate = math.e, 5.0
     for x, y in ((0.5, 0.3), (-0.2, 1.7), (0.21, 0.1), (3.0, -2.0)):
-        want = math.log(abs(_h_direct(math.e, 5.0, x, y)))
-        assert h.log_abs(x, y) == pytest.approx(want, abs=1e-12)
+        want = math.log(abs(_h_direct(c0, rate, x, y)))
+        got = _log_abs(c0 * math.exp(-rate * x), 2.0 * math.cos(rate * y))
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_planted_zeros_are_zeros():

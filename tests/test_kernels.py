@@ -124,7 +124,7 @@ def test_k_exact_bits():
 
 def test_g_exact_bits():
     for order, want in G_HEX_048.items():
-        assert g_psi(0.48, limit_measure(order), 1e-10).hex() == want
+        assert g_psi(0.48, limit_measure(order), 1e-10)[0].hex() == want
 
 
 def test_k_one_e_call_per_node(monkeypatch):
@@ -182,11 +182,11 @@ def test_k_smooth_across_taylor_window():
 
 def test_g_frozen_values():
     for (a, order), want in G_AT.items():
-        assert g_psi(a, limit_measure(order)) == pytest.approx(want, abs=1e-9)
+        assert g_psi(a, limit_measure(order))[0] == pytest.approx(want, abs=1e-9)
 
 
 def test_g_with_error_estimate():
-    val, err = g_psi(1.0, limit_measure(0), with_err=True)
+    val, err = g_psi(1.0, limit_measure(0))
     assert err >= 0.0
     assert abs(val - G_AT[(1.0, 0)]) <= max(1e-9, 10.0 * err)
 
