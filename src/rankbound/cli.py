@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -138,7 +137,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    obj = dataclasses.asdict(bound.h_of_a(args.a, args.delta, args.tol))
+    obj = dict(vars(bound.h_of_a(args.a, args.delta, args.tol)))
     if args.fmt == "table":  # one row per field
         _emit(args.fmt, ["field", "value"], list(obj.items()), obj)
     else:
@@ -156,7 +155,7 @@ def cmd_scan(args) -> int:
     obj = {
         "delta": args.delta,
         "rows": [dict(zip(headers, row)) for row in rows],
-        "minimizer": {**dataclasses.asdict(best), "slack_to_6_5": slack},
+        "minimizer": {**vars(best), "slack_to_6_5": slack},
     }
     rows.append(row_of(best))
     footer = (
