@@ -10,22 +10,27 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
 import math
 import operator
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import bound, checks, detector, kernels, mollifier, testfn
 from .quadrature import QuadratureError, integrate_measure_with_err
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-4
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Built on first use, not at import, and kept: parse_args leaves no state in
+# the parser, so every later main() call reuses it.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--tol", type=float, default=1e-10, help="quadrature tolerance, within [1e-14, 1e-4]"
@@ -93,27 +98,47 @@ def _csv(headers: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(v, pad: str = "\n") -> str:
+    """``v`` as ``json.dumps(v, indent=2)`` writes it once every float is
+    rounded to 12 significant digits; ``pad`` is the newline and indent of
+    ``v``'s own line.
+
+    Floats print as the repr of the rounded value (NaN, Infinity, -Infinity
+    when not finite), keys as json.dumps escapes them, ints, bools, None and
+    strings through json.dumps, and empty containers as {} and [].
+    """
+    if isinstance(v, float):
+        r = repr(float(f"{v:.12g}"))
+        return _JSON_NONFINITE.get(r, r)
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        items = (encode_basestring_ascii(k) + ": " + _json(x, inner) for k, x in v.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(_json(x, inner) for x in v) + pad + "]"
+    return json.dumps(v)
+
+
 def _emit(fmt: str, headers: list[str], rows: list, obj: dict, footer: str = "") -> None:
     """Print one command's result: the single place that knows the formats.
 
-    json prints ``obj`` (two-space indent) with every float at 12 significant
-    digits; ints and strings print as they are.  csv and table print
-    ``headers`` and ``rows``, number cells at 12 and 6 significant digits and
-    string cells as they are; only the table prints ``footer`` after them.
+    json prints ``obj`` through ``_json``, one recursive writer of
+    ``json.dumps(obj, indent=2)``'s bytes with every float at 12 significant
+    digits.  csv and table print ``headers`` and ``rows``, number cells at
+    12 and 6 significant digits and string cells as they are; only the
+    table prints ``footer`` after them.
     Every line ends in LF.
     """
-
-    def _round12(v):
-        if isinstance(v, float):
-            return float(f"{v:.12g}")
-        if isinstance(v, dict):
-            return {k: _round12(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [_round12(x) for x in v]
-        return v
-
     if fmt == "json":
-        sys.stdout.write(json.dumps(_round12(obj), indent=2) + "\n")
+        sys.stdout.write(_json(obj) + "\n")
         return
     digits = 6 if fmt == "table" else 12
     cells = [[c if isinstance(c, str) else f"{c:.{digits}g}" for c in row] for row in rows]
@@ -271,9 +296,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     if not _TOL_MIN <= args.tol <= _TOL_MAX:

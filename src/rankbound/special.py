@@ -24,14 +24,22 @@ __all__ = [
 _EULER_GAMMA = 0.57721566490153286060651209008240
 
 
+# The continued fraction's partial numerators -i^2, i = 1 .. 199.
+_CF_AN = tuple(-float(i * i) for i in range(1, 200))
+
+
 def exp_e1(x: float) -> float:
     """Exponential integral E1(x) for x > 0.
 
     Power series for x < 1 (alternating, converges in ~20 terms there),
-    modified Lentz continued fraction otherwise.  The fraction's stop test
-    |delta - 1| < 1e-16 lies below half an ulp of 1 (1.1e-16), so it holds
-    only once delta is exactly 1.0: at x = 1 that takes 92 iterations.
-    Loosening it would move printed digits, so it stays as it is.
+    modified Lentz continued fraction otherwise, with b_i = x + 2i + 1 and
+    a_i = -i^2.  The usual tiny-value guards (1e-300) are left out because
+    they never fire: by induction D_i lies in (0, 1/(x + i + 1)] and
+    C_i >= x + i + 1, since b_i - i^2 / (x + i) = x + i + 1 + i x / (x + i),
+    so neither comes near 1e-300.  C_0 = inf makes a_1 / C_0 = -0.0 and
+    C_1 = b_1 exactly.  The stop test delta == 1.0 is |delta - 1| < 1e-16
+    written exactly: the neighbours of 1.0 lie 2^-53 and 2^-52 away.  At
+    x = 1 it takes 92 iterations.
     """
     if x <= 0.0:
         raise ValueError("E1 requires x > 0")
@@ -46,24 +54,17 @@ def exp_e1(x: float) -> float:
                 break
         return total
     # E1(x) = exp(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(...))))
-    tiny = 1e-300
     b = x + 1.0
-    c = 1.0 / tiny
+    c = math.inf
     d = 1.0 / b
     h = d
-    for i in range(1, 200):
-        an = -float(i * i)
+    for an in _CF_AN:
         b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d = 1.0 / (an * d + b)
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if delta == 1.0:
             break
     return math.exp(-x) * h
 

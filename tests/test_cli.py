@@ -1,6 +1,9 @@
 """Command line entry point: exit codes, output formats, determinism."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rankbound
 from rankbound import cli
@@ -281,6 +285,57 @@ def test_output_rounding(capsys):
     for fmt, text in want.items():
         cli._emit(fmt, headers, rows, obj, footer="done\n")
         assert capsys.readouterr() == (text, "")
+
+
+def _round12(v):
+    if isinstance(v, float):
+        return float(f"{v:.12g}")
+    if isinstance(v, dict):
+        return {k: _round12(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_round12(x) for x in v]
+    return v
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1.7976931348623157e308]
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u00e9\u20ac\U0001f600'))
+_JSON_TREES = st.recursive(
+    st.floats() | st.sampled_from(_EDGE_FLOATS) | st.integers() | st.booleans() | st.none() | _TEXT,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(st.dictionaries(_TEXT, _JSON_TREES, max_size=5))
+@example({"": {}, "[]": [], "deep": [[], {}, [{}], {"e": []}], "edge": _EDGE_FLOATS})
+@settings(max_examples=60, deadline=None)
+def test_json_writer_matches_json_dumps(obj):
+    # the writer gives json.dumps's indent=2 bytes after 12-digit rounding
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit("json", [], [], obj)
+    assert buf.getvalue() == json.dumps(_round12(obj), indent=2) + "\n"
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    # one parser serves every main() call in a process, and an earlier
+    # call, failed or not, leaves nothing behind in it
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    first = run(capsys, "verify", "--suite", "bogus")
+    n_built = len(built)
+    assert run(capsys, "scan", "--delta", "0.3", "--format", "json")[0] == 0
+    assert run(capsys, "verify", "--suite", "bogus") == first
+    code, out, _ = run(capsys, "scan", "--format", "json")
+    assert first[0] == 2 and first[2]
+    assert code == 0 and json.loads(out)["delta"] == 0.5
+    assert len(built) == n_built
 
 
 def test_module_run_is_quiet(capsys):

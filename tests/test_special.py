@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankbound.special import (
     exp_e,
@@ -27,6 +27,44 @@ def test_frozen_values():
     for x, want in E_AT.items():
         assert exp_e(x) == pytest.approx(want, abs=1e-13)
     assert exp_e1(1.0) == pytest.approx(E1_AT_1, abs=1e-13)
+
+
+def _guarded_lentz_e1(x):
+    # The continued fraction for x >= 1 with the classic tiny-value guards
+    # and the |delta - 1| stop test: a second path that exp_e1 must match
+    # bit for bit.
+    tiny = 1e-300
+    b = x + 1.0
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 200):
+        an = -float(i * i)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return math.exp(-x) * h
+
+
+@given(st.floats(1.0, 1e300) | st.floats(1.0, 40.0))
+@example(1.0)
+@example(math.nextafter(1.0, 2.0))
+@example(700.0)
+@example(745.0)
+@example(1e10)
+@example(1e300)
+@settings(max_examples=300, deadline=None)
+def test_continued_fraction_matches_guarded_loop(x):
+    assert exp_e1(x).hex() == _guarded_lentz_e1(x).hex()
 
 
 def test_endpoints_and_domain():
