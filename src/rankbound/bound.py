@@ -91,33 +91,32 @@ def grid_reports(
     """Reports on the closed grid a_lo, a_lo + step, ... up to a_hi."""
     if not 0.0 < a_lo < a_hi < 1.0:
         raise ValueError("need 0 < a_lo < a_hi < 1")
-    if not step > 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     span = (a_hi - a_lo) / step + 1e-9
     if span >= MAX_GRID_POINTS:  # the grid has floor(span) + 1 points
         raise ValueError(f"grid too large: more than {MAX_GRID_POINTS} points")
-    n = math.floor(span)
-    grid = [a_lo + i * step for i in range(n + 1)]
-    if not grid:
-        raise ValueError("empty scan grid")
-    return [h_of_a(a, delta, tol) for a in grid]
+    return [h_of_a(a_lo + i * step, delta, tol) for i in range(math.floor(span) + 1)]
 
 
 def minimize(
-    delta: float, a_lo: float, a_hi: float, coarse_step: float, tol: float = 1e-10
+    coarse: list[BoundReport], a_hi: float, coarse_step: float, tol: float = 1e-10
 ) -> BoundReport:
-    """The report at the minimizing a: a coarse scan, then one refinement
-    pass at a tenth of the step.
+    """The report at the minimizing a: the best of the caller's coarse
+    reports ``grid_reports(delta, a_lo, a_hi, coarse_step, tol)``, refined
+    by one pass at a tenth of the step over [best - step, best + step]
+    clipped to [a_lo, a_hi].
 
+    It reuses the coarse reports: delta is read from them and a_lo is their
+    first a.  a_hi is an argument because it may lie off the coarse grid.
     Ties go to the smaller a at both stages.  A coarse grid with a single
     point is returned as-is: with no neighbors there is nothing to bracket a
     minimum with, so refinement would just wander.
     """
-    coarse = grid_reports(delta, a_lo, a_hi, coarse_step, tol)
     best = min(coarse, key=lambda r: (r.H, r.a))
     if len(coarse) == 1:
         return best
-    lo = max(a_lo, best.a - coarse_step)
+    lo = max(coarse[0].a, best.a - coarse_step)
     hi = min(a_hi, best.a + coarse_step)
-    fine = grid_reports(delta, lo, hi, coarse_step / 10.0, tol)
+    fine = grid_reports(best.delta, lo, hi, coarse_step / 10.0, tol)
     return min(fine + [best], key=lambda r: (r.H, r.a))

@@ -172,7 +172,7 @@ def cmd_bound(args) -> int:
 
 def cmd_scan(args) -> int:
     reports = bound.grid_reports(args.delta, args.a_min, args.a_max, args.step, args.tol)
-    best = bound.minimize(args.delta, args.a_min, args.a_max, args.step, args.tol)
+    best = bound.minimize(reports, args.a_max, args.step, args.tol)
     headers = ["a", "H", "bracket", "g_phi_a", "g_phi2_a"]
     row_of = operator.attrgetter(*headers)
     rows = [row_of(r) for r in reports]
@@ -254,11 +254,8 @@ def _verify_rows(args) -> checks.CheckList:
         # allowance (its extra zeta'/zeta ~ -1/(2 delta) collapse is what
         # breaks), while the three-piece decomposition still is fine.  The
         # acceptance test exercises the full grid including the red point.
-        params = [
-            mollifier.MollifierParams(M=_M, a=0.5, delta=d, t=t)
-            for d in (0.05, 0.1)
-            for t in (0.0, 0.5)
-        ]
+        # s_sums does not read t, so one t per delta covers the sweep.
+        params = [mollifier.MollifierParams(M=_M, a=0.5, delta=d) for d in (0.05, 0.1)]
         worst_dec, worst_closed = checks.s_sweep(table, params)
         out.add("s_decomposition (S = S1+S2+S3)", worst_dec, 1e-12)
         out.add("s_vs_closed_form (ratio to allowance)", worst_closed, 1.0)

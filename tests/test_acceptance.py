@@ -15,7 +15,7 @@ import time
 import pytest
 
 from rankbound import checks
-from rankbound.bound import h_of_a, minimize
+from rankbound.bound import grid_reports, h_of_a, minimize
 from rankbound.detector import DetectorBox, SyntheticH
 from rankbound.kernels import big_f, big_k, c_const, g_psi
 from rankbound.mollifier import ArithTable, MollifierParams, s_sums
@@ -64,7 +64,7 @@ def test_criterion_3_g_functionals_at_one():
 def test_criterion_4_bound_at_pinned_point_and_scan_minimum():
     rep = h_of_a(0.48, 0.5)
     t0 = time.perf_counter()
-    best = minimize(0.5, 0.30, 0.70, 0.01)
+    best = minimize(grid_reports(0.5, 0.30, 0.70, 0.01), 0.70, 0.01)
     dt = time.perf_counter() - t0
     ok = 6.49 <= rep.H <= 6.51 and best.H <= 6.5 and dt < 120.0
     _verdict(

@@ -80,7 +80,7 @@ def test_grid_is_closed():
 
 
 def test_minimize_default_window():
-    rep = minimize(0.5, 0.3, 0.7, 0.01)
+    rep = minimize(grid_reports(0.5, 0.3, 0.7, 0.01), 0.7, 0.01)
     assert rep.a == pytest.approx(0.483, abs=1e-12)
     assert rep.H == pytest.approx(6.497492474322719, abs=1e-6)
     assert rep.H <= 6.5
@@ -89,12 +89,12 @@ def test_minimize_default_window():
 def test_minimize_step_consistency():
     # halving the coarse step moves the refined minimizer by less than the
     # original step
-    a1 = minimize(0.5, 0.3, 0.7, 0.01).a
-    a2 = minimize(0.5, 0.3, 0.7, 0.005).a
+    a1 = minimize(grid_reports(0.5, 0.3, 0.7, 0.01), 0.7, 0.01).a
+    a2 = minimize(grid_reports(0.5, 0.3, 0.7, 0.005), 0.7, 0.005).a
     assert abs(a1 - a2) <= 0.01
 
 
 def test_minimize_single_point_grid():
-    rep = minimize(0.5, 0.48, 0.5, 0.05)
+    rep = minimize(grid_reports(0.5, 0.48, 0.5, 0.05), 0.5, 0.05)
     assert rep.a == 0.48
     assert rep.H == pytest.approx(H_048_HALF, abs=1e-8)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rankbound
-from rankbound import cli
+from rankbound import bound, cli
 from rankbound.cli import main
 
 CONSTANT_KEYS = [
@@ -106,6 +106,37 @@ def test_scan_csv_rows(capsys):
     assert 0.45 <= a_vals[3] <= 0.55
     h_vals = [float(l.split(",")[1]) for l in lines[1:]]
     assert h_vals[3] <= min(h_vals[:3]) + 1e-12
+
+
+def test_scan_builds_coarse_grid_once(capsys, monkeypatch):
+    # 41 coarse points and 21 fine ones; minimize reuses the coarse reports
+    calls = []
+    h_of_a = bound.h_of_a
+
+    def counting(*args):
+        calls.append(args)
+        return h_of_a(*args)
+
+    monkeypatch.setattr(bound, "h_of_a", counting)
+    code, out, _ = run(capsys, "scan", "--format", "json")
+    assert code == 0 and json.loads(out)["minimizer"]["a"] == 0.483
+    assert len(calls) == 62
+
+
+def test_scan_refines_up_to_off_grid_a_max(capsys):
+    # The coarse grid ends at 0.48 but --a-max is 0.4855: the fine window is
+    # clipped to a_max, not to the last coarse row, so 0.483 is reachable.
+    code, out, err = run(
+        capsys, "scan", "--a-min", "0.40", "--a-max", "0.4855", "--step", "0.01",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["rows"][-1]["a"] == 0.48
+    assert data["minimizer"]["a"] == 0.483
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "91f0e248ad64aa0a71acdcbe8bd230abd9282abc291267a090f307b08543e015"
+    )
 
 
 def test_scan_table_footer(capsys):
@@ -225,6 +256,8 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _, err = run(capsys, "scan", "--step", "nan")
     assert code == 2 and "step must be positive" in err
+    code, _, err = run(capsys, "scan", "--step", "inf")
+    assert code == 2 and "step" in err
     # a grid too large to scan is refused before any point is built
     start = time.perf_counter()
     code, _, err = run(capsys, "scan", "--step", "1e-9")
