@@ -8,11 +8,18 @@ delta = 1/2 lands just under 6.5 (bound).  All integrals use the
 Gauss-Kronrod rule in quadrature; special holds the E function the
 closed forms are written in; checks holds the verification checks that
 `rankbound verify` and the acceptance tests share.
+
+The H pipeline and the detector (special, quadrature, kernels, bound,
+detector and testfn's limit measures) are scalar and start without numpy, so
+`rankbound constants`, `bound`, `scan` and `verify --suite identities` or
+`detector` never load it.  numpy is imported where an array is built: the
+mollifier tables, testfn's smoothing family (the finite-eps functional and
+the positivity scan) and quadrature's composite rule behind them.
 """
 
 import importlib
 
-from . import bound, checks, detector, kernels, mollifier, quadrature, special, testfn
+from . import bound, detector, kernels, quadrature, special, testfn
 
 __version__ = "0.1.0"
 
@@ -31,8 +38,10 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # cli is imported on first access, not with the package, so that
-    # `python -m rankbound.cli` runs it once as __main__ without a warning.
-    if name == "cli":
-        return importlib.import_module(".cli", __name__)
+    # cli, checks and mollifier are imported on first access, not with the
+    # package: cli so that `python -m rankbound.cli` runs it once as __main__
+    # without a warning, checks and mollifier so that the package starts
+    # without numpy (tests/test_cli.py::test_scalar_commands_skip_numpy).
+    if name in ("checks", "cli", "mollifier"):
+        return importlib.import_module("." + name, __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

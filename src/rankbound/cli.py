@@ -19,8 +19,12 @@ import operator
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import bound, checks, detector, kernels, mollifier, testfn
+from . import bound, checks, detector, kernels, testfn
 from .quadrature import QuadratureError, integrate_measure_with_err
+
+# mollifier, and numpy with it, is imported in the mollifier suite alone, so
+# that constants, bound, scan and the other suites run without numpy
+# (tests/test_cli.py::test_scalar_commands_skip_numpy).
 
 __all__ = ["main"]
 
@@ -248,6 +252,8 @@ def _verify_rows(args) -> checks.CheckList:
         )
 
     if args.suite in ("mollifier", "all"):
+        from . import mollifier
+
         table = mollifier.ArithTable(_M)
         # delta = 0.02 is deliberately absent: at that shift the single
         # combined closed form is genuinely outside its own declared

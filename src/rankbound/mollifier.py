@@ -44,9 +44,10 @@ class MollifierParams:
 
 
 class ArithTable:
-    """Sieved tables up to ``limit``: smallest prime factors ``spf``, the
-    ``primes``, Mobius values ``mu`` (int8), and per exponent the
-    multiplicative tables omega and the base weights (the latter cached).
+    """Sieved tables up to ``limit`` (below 2**31): smallest prime factors
+    ``spf`` (int32), the ``primes``, Mobius values ``mu`` (int8), and per
+    exponent the multiplicative tables omega and the base weights (the
+    latter cached).
 
     Every k <= limit has at most one prime factor above r = isqrt(limit); it
     divides k to the first power and is k's largest prime factor (Bays and
@@ -66,17 +67,22 @@ class ArithTable:
         limit = int(limit)
         if limit < 2:
             raise ValueError("sieve limit must be at least 2")
+        if limit >= 2**31:
+            raise ValueError("sieve limit must be below 2**31")
         self.limit = limit
         n = limit + 1
-        spf = np.zeros(n, dtype=np.int64)
+        spf = np.zeros(n, dtype=np.int32)  # every entry is at most limit
         for i in range(2, math.isqrt(limit) + 1):
             if spf[i] == 0:
                 seg = spf[i * i :: i]
                 seg[seg == 0] = i
+        # No strided pass reaches 0, 1 or a prime, and every composite has a
+        # prime factor up to isqrt(limit); so the zeros left are 0, 1 and
+        # the primes, in order.
         rest = np.nonzero(spf == 0)[0]
         spf[rest] = rest  # remaining entries are prime (and 0, 1 map to themselves)
         self.spf = spf
-        self.primes = np.nonzero(spf[2:] == np.arange(2, n))[0] + 2
+        self.primes = rest[2:]
         self._n_small = int(np.searchsorted(self.primes, max(math.isqrt(limit), 3), side="right"))
         mu = np.ones(n, dtype=np.int8)
         mu[0] = 0

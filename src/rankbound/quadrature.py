@@ -29,9 +29,13 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+# numpy is imported inside composite_gk15 and integrate_array, the two entry
+# points that build arrays, so that the scalar pipeline loads without it
+# (tests/test_cli.py::test_scalar_commands_skip_numpy).
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
@@ -187,6 +191,8 @@ def composite_gk15(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.
     fixed rule to many integrands (convolutions, transform scans) use this
     instead of the adaptive path.
     """
+    import numpy as np
+
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     h = 0.5 * (edges[1] - edges[0])
@@ -328,6 +334,8 @@ def integrate_array(
     element with a scalar integrand gives the same result bit for bit.  Only
     finite domains are taken.
     """
+    import numpy as np
+
     if math.isinf(domain.hi):
         raise ValueError("integrate_array needs a finite domain")
 

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .quadrature import (
     DEFAULT_TOL,
@@ -35,6 +33,12 @@ from .quadrature import (
     integrate_array,
     integrate_measure,
 )
+
+# numpy is imported inside the smoothing family, the functions that build
+# arrays, so that the limit measures and the H pipeline load without it
+# (tests/test_cli.py::test_scalar_commands_skip_numpy).
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "phi_eps_deriv",
@@ -68,6 +72,8 @@ def _ramp(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The C-infinity ramp is 0 below y = 0, 1 above y = 1, and
     # sigma(1/(1-y) - 1/y) between; returns the mask 0 < y < 1, y there and
     # the sigmoid there.
+    import numpy as np
+
     mid = (y > 0.0) & (y < 1.0)
     ym = y[mid]
     z = np.clip(1.0 / ym - 1.0 / (1.0 - ym), -700.0, 700.0)
@@ -78,6 +84,8 @@ def _g_core(e: float, x: np.ndarray) -> np.ndarray:
     # The bump: 1 on [-1/2, 1/2], smooth ramps down to 0 at 1/2 + e.  out
     # comes before the ramp's temporaries: in the other order the peak RSS
     # of the positivity scan at eps = 0.05 is 10 MB higher.
+    import numpy as np
+
     y = (0.5 + e - np.abs(x)) / e
     out = np.zeros_like(y)
     out[y >= 1.0] = 1.0
@@ -88,6 +96,8 @@ def _g_core(e: float, x: np.ndarray) -> np.ndarray:
 
 def _gp_core(e: float, x: np.ndarray) -> np.ndarray:
     # d/dx of the bump: nonzero only on the two ramps.
+    import numpy as np
+
     y = (0.5 + e - np.abs(x)) / e
     out = np.zeros_like(x)
     mid, ym, s = _ramp(y)
@@ -114,6 +124,8 @@ class _ConvTable:
     """
 
     def __init__(self, e: float) -> None:
+        import numpy as np
+
         self.eps = e
         half = 0.5 + e
         n_panels = max(24, int(math.ceil(2.0 * half / (e / 6.0))))
@@ -132,11 +144,15 @@ class _ConvTable:
         """[(g * g)(x), (g' * g)(x), (g' * g')(x)] up to the given order."""
         # Rows go in blocks of about a million window entries, so the memory
         # of a long x (the positivity scan at small eps) stays bounded.
+        import numpy as np
+
         step = max(1, 2**20 // (2 * self.width))
         blocks = [self._convs(x[i : i + step], order) for i in range(0, max(x.size, 1), step)]
         return [np.concatenate(parts) for parts in zip(*blocks)]
 
     def _convs(self, x: np.ndarray, order: int) -> list[np.ndarray]:
+        import numpy as np
+
         lo = np.searchsorted(self.t, x - 0.5, side="left")  # first t >= x - 1/2
         hi = np.searchsorted(self.t, x + 0.5, side="right")  # first t > x + 1/2
         # Padded indices of the runs ending at lo and starting at hi.
@@ -159,6 +175,8 @@ def _table(e: float) -> _ConvTable:
 
 def phi_eps_deriv(eps, x, order: int):
     """The smoothed function (order 0) or its first or second derivative; zero for |x| > 1 + 2 eps."""
+    import numpy as np
+
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     e = _eps_of(eps)
@@ -286,8 +304,6 @@ def laplace_deriv(m: Measure, s: float, tol: float = DEFAULT_TOL) -> float:
 # sigma from -1 to 1 and tau from 0 to 20, both in steps of 0.1.
 _TAU_MAX = 20.0
 _STEP = 0.1
-_TAUS = np.arange(0.0, _TAU_MAX + 0.5 * _STEP, _STEP)
-_SIGMAS = np.concatenate([-np.arange(1, 11)[::-1], np.arange(0, 11)]) * _STEP
 
 
 def _min_re_transform(f, lo: float, hi: float, feature: float) -> float:
@@ -301,14 +317,18 @@ def _min_re_transform(f, lo: float, hi: float, feature: float) -> float:
     # kernel rounds a column differently only when it falls in a remainder
     # past a multiple of 8; so nearly every column rounds as in one
     # full-width product.
+    import numpy as np
+
+    taus = np.arange(0.0, _TAU_MAX + 0.5 * _STEP, _STEP)
+    sigmas = np.concatenate([-np.arange(1, 11)[::-1], np.arange(0, 11)]) * _STEP
     width = min(feature, math.pi / (4.0 * (_TAU_MAX + 1.0)))
     nodes, weights = composite_gk15(lo, hi, int(math.ceil((hi - lo) / width)))
     wphi = weights * np.asarray(f(nodes), dtype=float)
-    rows = [wphi * np.exp(sg * nodes) for sg in _SIGMAS]
+    rows = [wphi * np.exp(sg * nodes) for sg in sigmas]
     step = 8 * max(1, 2**17 // nodes.size)
     best = math.inf
-    for j in range(0, _TAUS.size, step):
-        cosmat = np.cos(nodes[:, None] * _TAUS[None, j : j + step])
+    for j in range(0, taus.size, step):
+        cosmat = np.cos(nodes[:, None] * taus[None, j : j + step])
         for row in rows:
             best = min(best, float((row @ cosmat).min()))
     return best
@@ -330,6 +350,8 @@ def finite_eps_functional(eps, order: int, h: Callable[[float], float]) -> float
     than the fixed-rule one.  Each panel's 15 nodes go to phi_eps_deriv as
     one array; h is called node by node.
     """
+    import numpy as np
+
     e = _eps_of(eps)
     half = 1.0 + 2.0 * e
 

@@ -222,13 +222,47 @@ def test_byte_determinism(capsys):
     assert runs[0] == runs[1]
 
 
-def _module_run(*argv: str) -> subprocess.CompletedProcess:
+def _child(*args: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter that imports this checkout's rankbound
     src = str(Path(rankbound.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "rankbound.cli", *argv],
+        [sys.executable, *args],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
+
+
+def _module_run(*argv: str) -> subprocess.CompletedProcess:
+    return _child("-m", "rankbound.cli", *argv)
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import rankbound
+from rankbound import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv + ["--format", "json"])
+    seen.append([code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_scalar_commands_skip_numpy():
+    # The H pipeline and the detector are scalar: the package and these
+    # commands must not load numpy.  The mollifier suite must, which shows
+    # that the probe can tell the two apart.
+    scalar = [
+        ["constants"],
+        ["bound", "--a", "0.48", "--delta", "0.5"],
+        ["scan"],
+        ["verify", "--suite", "identities"],
+        ["verify", "--suite", "detector"],
+    ]
+    proc = _child("-c", _NUMPY_PROBE, json.dumps(scalar + [["verify", "--suite", "mollifier"]]))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == [[0, False]] * len(scalar) + [[0, True]]
 
 
 def test_earlier_calls_do_not_leak(capsys):

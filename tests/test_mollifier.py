@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from rankbound import mollifier
 from rankbound.mollifier import (
     ArithTable,
     MollifierParams,
@@ -133,6 +134,19 @@ def test_sieve_limits(small_table):
         small_table.check_n(0)
     with pytest.raises(ValueError):
         ArithTable(1)
+
+
+def test_arith_table_rejects_limit_past_int32(monkeypatch):
+    # spf is int32, so the limit must stay below 2**31, and the check comes
+    # before any table is built: here any use of numpy fails the test.
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"ArithTable used np.{name} before checking its limit")
+
+    monkeypatch.setattr(mollifier, "np", NoNumpy())
+    for limit in (2**31, 2**40):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            ArithTable(limit)
 
 
 def test_params_validation():
