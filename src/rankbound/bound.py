@@ -10,7 +10,9 @@ a sits near 0.48 and lands just under 6.5.
 
 The G values are cached per (a, tol) and phi0hat(0) per tol, and reused
 across deltas: a scan at a new delta over a values already visited at the
-same tol costs no new kernel integral.
+same tol costs no new kernel integral.  Both caches are bounded; the G
+cache holds a whole headline benchmark run.  At a new tol, G_psi reuses the
+kernel panels it computed at that a before (see :mod:`rankbound.kernels`).
 """
 from __future__ import annotations
 
@@ -42,10 +44,16 @@ class BoundReport:
     H: float
 
 
+# Bounds of the two memos below, whose keys are floats a caller supplies.
+# A headline benchmark run asks for about 1,600 (a, tol) pairs at 3 tols.
+_G_PAIR_MEMO = 4096
+_PHI0_MEMO = 64
+
+
 # G_phi(a) and G_phi''(a) hold all the work of H; delta enters H only
 # through 1/(a delta), so the cache key is (a, tol).  The a = 1 row serves
 # every a.
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_G_PAIR_MEMO)
 def _g_pair(a: float, tol: float) -> tuple[float, float]:
     return (
         kernels.g_psi(a, testfn.limit_measure(0), tol)[0],
@@ -53,7 +61,7 @@ def _g_pair(a: float, tol: float) -> tuple[float, float]:
     )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_PHI0_MEMO)
 def _phi0_hat0(tol: float) -> float:
     return testfn.laplace(testfn.limit_measure(0), 0.0, tol)
 

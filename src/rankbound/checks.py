@@ -28,26 +28,36 @@ class CheckList(list):
         self.append((name, 0.0 if ok else 1.0, 0.5, ok))
 
 
+def _worst(residuals) -> float:
+    """The largest residual (0.0 for none), or nan if any is nan.
+
+    ``max`` cannot fold residuals: ``max(0.0, nan)`` is 0.0, so a nan that
+    does not come first would print as a pass.
+    """
+    worst = 0.0
+    for r in residuals:
+        if r > worst or math.isnan(r):  # a nan, once in, stays: r > nan is false
+            worst = r
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Identities: E, the Fubini identity tying F to K, and the tails I+-.
 
 
 def e_identity_worst(triples, tol: float) -> float:
     """Worst residual of special.verify_e_identities over (a, b, x) triples."""
-    worst = 0.0
-    for a, b, x in triples:
-        worst = max(worst, special.verify_e_identities(a, b, x, tol))
-    return worst
+    return _worst(special.verify_e_identities(a, b, x, tol) for a, b, x in triples)
 
 
 def e_quadrature_worst(xs) -> float:
     """Worst gap between the fast E(x) and its defining integral."""
-    return max(abs(special.exp_e(x) - special.exp_e_by_quadrature(x)) for x in xs)
+    return _worst(abs(special.exp_e(x) - special.exp_e_by_quadrature(x)) for x in xs)
 
 
 def e_parts_worst(xs) -> float:
     """Worst residual of E(x) = exp(-x) - x E1(x), both sides by quadrature."""
-    return max(
+    return _worst(
         abs(
             special.exp_e_by_quadrature(x)
             - (math.exp(-x) - x * special.exp_e1_by_quadrature(x))
@@ -58,18 +68,17 @@ def e_parts_worst(xs) -> float:
 
 def lemma1_worst(cases, tol: float) -> float:
     """Worst residual of kernels.verify_lemma1 over (a, measure order) pairs."""
-    worst = 0.0
-    for a, order in cases:
-        worst = max(worst, kernels.verify_lemma1(a, testfn.limit_measure(order), tol))
-    return worst
+    return _worst(
+        kernels.verify_lemma1(a, testfn.limit_measure(order), tol) for a, order in cases
+    )
 
 
 def i_pm_worst(cases) -> float:
     """Worst gap between the closed-form tails and their quadrature over (a, u, sign)."""
-    worst = 0.0
-    for a, u, sign in cases:
-        worst = max(worst, abs(kernels.i_pm(a, u, sign) - kernels.i_pm_by_quadrature(a, u, sign)))
-    return worst
+    return _worst(
+        abs(kernels.i_pm(a, u, sign) - kernels.i_pm_by_quadrature(a, u, sign))
+        for a, u, sign in cases
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +114,7 @@ def lemma6_sweep(cases, tol: float, n: int | None = None) -> tuple[float, list[i
     with ``n`` the cases lemma6_check rejects (ValueError) are skipped until n
     have been checked.
     """
-    worst = 0.0
+    resids: list[float] = []
     counts: list[int] = []
     for h, box in cases:
         if n is not None and len(counts) == n:
@@ -119,8 +128,8 @@ def lemma6_sweep(cases, tol: float, n: int | None = None) -> tuple[float, list[i
         counts.append(
             sum(x > box.sigma_prime and box.t1 < y < box.t2 for x, y in h.zeros_in(box.t1, box.t2))
         )
-        worst = max(worst, resid)
-    return worst, counts
+        resids.append(resid)
+    return _worst(resids), counts
 
 
 def lemma6_rejects(h, box) -> bool:
@@ -160,13 +169,13 @@ def s_sweep(table, params) -> tuple[float, float]:
     """Worst |S - (S1 + S2 + S3)| and worst misfit-to-allowance ratio over params."""
     from . import mollifier
 
-    worst_dec = worst_ratio = 0.0
+    decs, ratios = [], []
     for p in params:
         r = mollifier.s_sums(table, p)
-        worst_dec = max(worst_dec, abs(r.S - (r.S1 + r.S2 + r.S3)))
+        decs.append(abs(r.S - (r.S1 + r.S2 + r.S3)))
         gap, allow = closed_form_misfit(r, p)
-        worst_ratio = max(worst_ratio, gap / allow)
-    return worst_dec, worst_ratio
+        ratios.append(gap / allow)
+    return _worst(decs), _worst(ratios)
 
 
 def truncated_zeta_ratio(table, m_prime: float, delta: float) -> float:

@@ -5,9 +5,12 @@ what F integrates to against exp(x u) on [1/2, inf).  The two are tied
 together by an exact Fubini identity (verify_lemma1 measures its residual),
 and i_pm gives the closed forms of the normalized one-sided tails.
 
-Memos: ``_edges`` keeps K's edge values per a; ``_big_f1`` and ``_big_k1``
-keep F(1, u) per u and K(1, x) per x, the a-free halves of verify_lemma1.
-G_psi's transform factor comes from testfn's (measure, s, tol) memo.
+Memos: ``_panels`` keeps, per (a, psi), the Kronrod panels of G_psi's
+kernel integral, so G_psi at a second tol evaluates K only on panels the
+first did not visit (and at psi's atoms); ``_edges`` keeps K's edge values
+per a, sized with it.  ``_big_f1`` and ``_big_k1`` keep F(1, u) per u and
+K(1, x) per x, the a-free halves of verify_lemma1.  G_psi's transform
+factor comes from testfn's (measure, s, tol) memo.
 """
 from __future__ import annotations
 
@@ -73,16 +76,21 @@ def big_f(a: float, u: float) -> float:
 _TAYLOR_WINDOW = 1e-3
 
 
-def _ratio_taylor(z0: float, d: float) -> float:
-    # (E(z0 - d/2) - exp(d/2) E(z0)) / d continued through d = 0:
-    # N'(0) = (E1(z0) - E(z0))/2,  N''(0) = (exp(-z0)/z0 - E(z0))/4.
-    e0 = exp_e(z0)
+def _ratio_taylor(z0: float, e0: float, d: float) -> float:
+    # (E(z0 - d/2) - exp(d/2) E(z0)) / d continued through d = 0, given
+    # e0 = E(z0): N'(0) = (E1(z0) - E(z0))/2,  N''(0) = (exp(-z0)/z0 - E(z0))/4.
     n1 = 0.5 * (exp_e1(z0) - e0)
     n2 = 0.25 * (math.exp(-z0) / z0 - e0)
     return n1 + 0.5 * d * n2
 
 
-@functools.lru_cache(maxsize=32)
+# Entries of the memos keyed on a: _edges holds this many a, _panels this
+# many (a, psi) pairs.  A headline benchmark run asks G_psi at about 520 a,
+# each at two measures, and the panels of one pair take a few hundred bytes.
+_A_MEMO = 4096
+
+
+@functools.lru_cache(maxsize=_A_MEMO)
 def _edges(a: float) -> tuple[float, float, float, float]:
     # z at the edges x = 1 and x = -1, and E there; a quadrature over x
     # holds a fixed, so these are computed once per a.
@@ -96,8 +104,8 @@ def big_k(a: float, x: float) -> float:
 
     The two difference quotients have removable singularities at x = 1 and
     x = -1; a short Taylor window handles each.  Their edge values E(z1) and
-    E(z2) depend on a alone and are cached per a, so a call outside the
-    windows evaluates E once, at z = (2/a - x)/2.
+    E(z2) depend on a alone and are cached per a, so every call evaluates E
+    once, at z = (2/a - x)/2 (a call inside a window adds one E1 there).
     """
     if math.isnan(a) or not 0.0 < a <= 1.0:
         raise ValueError("need a in (0, 1]")
@@ -108,15 +116,21 @@ def big_k(a: float, x: float) -> float:
     ez = exp_e(z)
     d_minus = x - 1.0
     if abs(d_minus) < _TAYLOR_WINDOW:
-        t2 = _ratio_taylor(z1, d_minus)
+        t2 = _ratio_taylor(z1, ez1, d_minus)
     else:
         t2 = (ez - math.exp(0.5 * d_minus) * ez1) / d_minus
     d_plus = x + 1.0
     if abs(d_plus) < _TAYLOR_WINDOW:
-        t3 = _ratio_taylor(z2, d_plus)
+        t3 = _ratio_taylor(z2, ez2, d_plus)
     else:
         t3 = (ez - math.exp(0.5 * d_plus) * ez2) / d_plus
     return (2.0 / _C) * (ez + t2 - t3)
+
+
+@functools.lru_cache(maxsize=_A_MEMO)
+def _panels(a: float, psi: Measure) -> dict:
+    # The kernel integrand of g_psi depends on (a, psi), not on tol.
+    return {}
 
 
 def g_psi(a: float, psi: Measure, tol: float = DEFAULT_TOL) -> tuple[float, float]:
@@ -134,7 +148,7 @@ def g_psi(a: float, psi: Measure, tol: float = DEFAULT_TOL) -> tuple[float, floa
         raise ValueError("need a in (0, 1]")
     hat_smooth = testfn.laplace_density(psi, 1.0, tol)
     ker, ker_err = integrate_measure_with_err(
-        lambda x: x * big_k(a, x) * math.exp(0.5 * x), psi, tol
+        lambda x: x * big_k(a, x) * math.exp(0.5 * x), psi, tol, _panels(a, psi)
     )
     f_half = big_f(a, 0.5)
     # The transform's error is folded in at the same tol scale as its integral.

@@ -1,9 +1,12 @@
 """Assembled rank bound H(a, delta) and its minimization over a."""
 
+import importlib
 import math
+import pkgutil
 
 import pytest
 
+import rankbound
 from rankbound import kernels
 from rankbound.bound import SERIES_TAIL, grid_reports, h_of_a, minimize
 
@@ -60,6 +63,22 @@ def test_g_cache_ignores_delta(monkeypatch):
     assert calls == []
     assert (second.g_phi_a, second.g_phi2_a) == (first.g_phi_a, first.g_phi2_a)
     assert second.H != first.H
+
+
+# Memos whose keys come from a small fixed domain, never from a float that a
+# caller supplies, may grow without bound.
+UNBOUNDED_MEMOS = {"rankbound.testfn.limit_measure", "rankbound.cli._parser"}
+
+
+def test_memos_are_bounded():
+    memos = {}
+    for info in pkgutil.iter_modules(rankbound.__path__):
+        mod = importlib.import_module(f"rankbound.{info.name}")
+        for obj in vars(mod).values():
+            if callable(getattr(obj, "cache_parameters", None)):
+                memos[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_parameters()["maxsize"]
+    assert {"rankbound.bound._g_pair", "rankbound.kernels._panels"} <= set(memos)
+    assert {name for name, size in memos.items() if size is None} <= UNBOUNDED_MEMOS
 
 
 def test_domain_validation():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rankbound
-from rankbound import bound, cli
+from rankbound import bound, cli, detector, special
 from rankbound.cli import main
 
 CONSTANT_KEYS = [
@@ -186,6 +186,21 @@ def test_verify_suites_pass(capsys, suite):
     assert data["seed"] == 0
     assert data["checks"]
     assert all(c["status"] == "PASS" for c in data["checks"])
+
+
+def test_verify_fails_on_nan_residual(capsys, monkeypatch):
+    # max(0.0, nan) is 0.0: a fold through max() printed PASS and exited 0.
+    monkeypatch.setattr(special, "verify_e_identities", lambda *args: math.nan)
+    code, out, _ = run(capsys, "verify", "--suite", "identities")
+    assert code == 1
+    assert [line.split()[0] for line in out.splitlines() if "e_identities" in line] == ["FAIL"]
+
+    monkeypatch.setattr(detector, "lemma6_check", lambda h, box, tol=1e-9: (0.0, 0.0, math.nan))
+    code, out, _ = run(capsys, "verify", "--suite", "detector", "--format", "json")
+    rows = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    for name in ("lemma6_fixed_cases (0..3 planted zeros)", "lemma6_randomized (50 cases)"):
+        assert rows[name]["status"] == "FAIL" and math.isnan(rows[name]["residual"])
 
 
 def test_verify_seed_changes_draws_not_outcome(capsys):

@@ -142,6 +142,51 @@ def test_k_one_e_call_per_node(monkeypatch):
     calls.clear()
     big_k(a, -0.5)
     assert calls == [0.5 * (2.0 / a + 0.5)]
+    # Inside a Taylor window E at the edge comes from the per-a cache too.
+    for x in (1.0, -1.0):
+        calls.clear()
+        big_k(a, x)
+        assert calls == [0.5 * (2.0 / a - x)]
+
+
+def test_g_panel_memo_keeps_bits(monkeypatch):
+    # Cold single calls, each with a fresh memo, against calls that share
+    # the per-(a, psi) panel memo across tols, tightest first and loosest
+    # first.  At 1e-13 the order-1 integral splits panels that the looser
+    # tols never visit.
+    tols = (1e-13, 1e-10, 1e-8)
+    cases = [(a, order) for a in (0.48, 1.0) for order in (0, 1, 2)]
+
+    def hexes(a, order, tol):
+        return tuple(v.hex() for v in g_psi(a, limit_measure(order), tol))
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_panels", lambda a, psi: {})
+        cold = {(a, order, tol): hexes(a, order, tol) for a, order in cases for tol in tols}
+    for sequence in (tols, tols[::-1]):
+        kernels._panels.cache_clear()
+        warm = {(a, order, tol): hexes(a, order, tol) for tol in sequence for a, order in cases}
+        assert warm == cold
+
+
+@pytest.mark.parametrize("order, atoms", [(0, 0), (1, 0), (2, 3)])
+def test_g_second_tol_evaluates_k_at_atoms_only(monkeypatch, order, atoms):
+    calls = []
+    big_k = kernels.big_k
+
+    def counted(a, x):
+        calls.append(x)
+        return big_k(a, x)
+
+    monkeypatch.setattr(kernels, "big_k", counted)
+    kernels._panels.cache_clear()
+    psi = limit_measure(order)
+    g_psi(0.48, psi, 1e-10)
+    assert len(calls) >= 15 + atoms
+    calls.clear()
+    g_psi(0.48, psi, 1e-8)
+    assert len(calls) == atoms
+    assert calls == [loc for loc, _ in psi.atoms]
 
 
 def test_k_domain():

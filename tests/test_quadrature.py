@@ -146,6 +146,35 @@ def test_exact_bits():
     )
 
 
+@pytest.mark.parametrize(
+    "domain", [IntegrationDomain(0.0, 1.0), IntegrationDomain(0.0)], ids=["finite", "ray"]
+)
+def test_panel_memo_keeps_results(domain):
+    # No breakpoint at the kink, so the tight tol splits panels the loose one
+    # never visits, and the loose tol's panels are among the tight one's.
+    nodes = []
+
+    def f(x):
+        nodes.append(x)
+        return math.exp(-x) * math.sqrt(abs(x - 0.3))
+
+    loose, tight = 1e-6, 1e-12
+    cold = {tol: integrate(f, domain, tol) for tol in (loose, tight)}
+    assert cold[tight].n_evals > cold[loose].n_evals
+
+    memo = {}
+    nodes.clear()
+    assert integrate(f, domain, loose, memo=memo) == cold[loose]
+    assert integrate(f, domain, tight, memo=memo) == cold[tight]
+    assert len(nodes) == cold[tight].n_evals
+
+    memo = {}
+    assert integrate(f, domain, tight, memo=memo) == cold[tight]
+    nodes.clear()
+    assert integrate(f, domain, loose, memo=memo) == cold[loose]
+    assert nodes == []
+
+
 def test_rounding_level_tol_fails_fast_with_its_reason():
     # Lemma 1's inner transform integral, x e^(s x) against phi_0 at the
     # largest s that check reaches, is about 45,483, where one ulp is 7.3e-12.

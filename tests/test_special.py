@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rankbound import special
 from rankbound.special import (
     exp_e,
     exp_e1,
@@ -111,6 +112,13 @@ def test_identities_pinned():
     assert verify_e_identities(0.48, 0.9, 0.3) < 1e-8
     # 2/a - x = 0.5 exercises the substitution branch of the first identity
     assert verify_e_identities(1.0, 4.0, 1.5) < 1e-8
+
+
+def test_identities_nan_second_residual(monkeypatch):
+    # E(b - a) = E(1.5) enters only the second identity's right side; a nan
+    # there must not fall to the first residual, as max(r1, nan) does.
+    monkeypatch.setattr(special, "exp_e", lambda x: math.nan if x == 1.5 else exp_e(x))
+    assert math.isnan(verify_e_identities(1.0, 2.5, 0.0))
 
 
 def test_identities_domain():
