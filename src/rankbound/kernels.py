@@ -54,9 +54,9 @@ def big_f(a: float, u: float) -> float:
     product is evaluated in log space, and an underflowed E short-circuits to
     zero since E decays much faster than exp(u) grows here.
     """
-    if math.isnan(a) or not 0.0 < a <= 1.0:
+    if not 0.0 < a <= 1.0:
         raise ValueError("need a in (0, 1]")
-    if math.isnan(u) or u <= 0.0:
+    if not u > 0.0:
         raise ValueError("need u > 0")
     t1 = math.exp(-2.0 * u / a)
     t2 = u * math.exp(-u) * exp_e((2.0 - a) * u / a)
@@ -107,9 +107,9 @@ def big_k(a: float, x: float) -> float:
     E(z2) depend on a alone and are cached per a, so every call evaluates E
     once, at z = (2/a - x)/2 (a call inside a window adds one E1 there).
     """
-    if math.isnan(a) or not 0.0 < a <= 1.0:
+    if not 0.0 < a <= 1.0:
         raise ValueError("need a in (0, 1]")
-    if math.isnan(x) or abs(x) > 1.0 + 1e-12:
+    if not abs(x) <= 1.0 + 1e-12:
         raise ValueError("need x in [-1, 1]")
     z = 0.5 * (2.0 / a - x)
     z1, z2, ez1, ez2 = _edges(a)
@@ -144,7 +144,7 @@ def g_psi(a: float, psi: Measure, tol: float = DEFAULT_TOL) -> tuple[float, floa
     that convention down, and flipping it moves the order-2 value by the full
     atom transform, so it is load-bearing.
     """
-    if math.isnan(a) or not 0.0 < a <= 1.0:
+    if not 0.0 < a <= 1.0:
         raise ValueError("need a in (0, 1]")
     hat_smooth = testfn.laplace_density(psi, 1.0, tol)
     ker, ker_err = integrate_measure_with_err(
@@ -183,7 +183,7 @@ def verify_lemma1(a: float, psi: Measure, tol: float = 1e-9) -> float:
     side: the same prefactor times the integral of x exp(x/2) (K(1,x) - K(a,x))
     against psi.  Equality is exact; the return value is |lhs - rhs|.
     """
-    if math.isnan(a) or not 0.0 < a < 1.0:
+    if not 0.0 < a < 1.0:
         raise ValueError("need a in (0, 1)")
     pref = a * a / ((1.0 - a) * (1.0 - a))
 
@@ -202,7 +202,12 @@ def verify_lemma1(a: float, psi: Measure, tol: float = 1e-9) -> float:
     return abs(lhs - rhs)
 
 
-def _sign_of(sign) -> int:
+def _tail_sign(a: float, u: float, sign) -> int:
+    """Check the arguments of a tail integral; +1 or -1 for the sign."""
+    if not 0.0 < a < 1.0:
+        raise ValueError("need a in (0, 1)")
+    if not u > 0.0:
+        raise ValueError("need u > 0")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     return 1 if sign == "+" else -1
@@ -211,11 +216,7 @@ def _sign_of(sign) -> int:
 def i_pm(a: float, u: float, sign) -> float:
     """Normalized tail integral: (exp(-u)/u) E((2/a - 1) u) for sign '+',
     (exp(u)/u) E((2/a + 1) u) for sign '-'."""
-    if math.isnan(a) or not 0.0 < a < 1.0:
-        raise ValueError("need a in (0, 1)")
-    if math.isnan(u) or u <= 0.0:
-        raise ValueError("need u > 0")
-    sg = _sign_of(sign)
+    sg = _tail_sign(a, u, sign)
     ev = exp_e((2.0 / a - sg) * u)
     if ev == 0.0:
         return 0.0
@@ -233,11 +234,7 @@ _I_PM_QUAD_TOL = 1e-9
 def i_pm_by_quadrature(a: float, u: float, sign) -> float:
     """The defining tail integral, evaluated numerically in u-scaled variables:
     exp(-+u)/u times the integral over v >= 1 of exp(-(2/a -+ 1) u v) v^-2 dv."""
-    if not 0.0 < a < 1.0:
-        raise ValueError("need a in (0, 1)")
-    if u <= 0.0:
-        raise ValueError("need u > 0")
-    sg = _sign_of(sign)
+    sg = _tail_sign(a, u, sign)
     r = (2.0 / a - sg) * u
     if r >= 1.0:
         base = integrate(

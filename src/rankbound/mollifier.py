@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,13 +55,15 @@ class ArithTable:
     Hudson, BIT 17, 1977).  So only the small primes, p <= r, get a strided
     pass of their own.  The large primes are covered by cofactor: for each
     j = 1 .. limit // (r + 1) one pass reaches j p for every large p <=
-    limit / j at once (``_by_cofactor``).  The small passes run in ascending
-    order and the large prime of k comes last, so omega_s(k) is the same
-    product, in the same order, as one strided pass per prime in ascending
-    order gives; mu is integer, where order does not matter.  2 and 3 always
-    go by stride, because numpy's vectorised pow does not reproduce the
-    scalar pow's bits for them (2 at s = 1.1); above them it does, which
-    ``tests/test_mollifier.py`` pins.
+    limit / j at once (``_multiply_in``).  The small passes run in ascending
+    order and the large prime of k comes last, so a multiplicative table is
+    the same product, in the same order, as one strided pass per prime in
+    ascending order gives; mu is integer, where order does not matter.
+
+    One pow path: p^s comes from the builtin scalar pow (libm's), once per
+    prime, because numpy's vectorised pow differs from it in the last bit
+    for many p, by the SIMD width it dispatches to.  Every other step is
+    +, -, * or /, correctly rounded at any width: the bits hold on any host.
     """
 
     def __init__(self, limit: int) -> None:
@@ -83,26 +86,32 @@ class ArithTable:
         spf[rest] = rest  # remaining entries are prime (and 0, 1 map to themselves)
         self.spf = spf
         self.primes = rest[2:]
-        self._n_small = int(np.searchsorted(self.primes, max(math.isqrt(limit), 3), side="right"))
-        mu = np.ones(n, dtype=np.int8)
+        self._n_small = int(np.searchsorted(self.primes, math.isqrt(limit), side="right"))
+        mu = self._multiply_in(np.ones(n, dtype=np.int8), np.full(self.primes.size, -1, np.int8))
         mu[0] = 0
         for p in self.primes[: self._n_small].tolist():
-            mu[p::p] *= -1
             mu[p * p :: p * p] = 0
-        for _, idx in self._by_cofactor():
-            mu[idx] *= -1
         self.mu = mu
         self._base_cache: dict[float, np.ndarray] = {}
 
-    def _by_cofactor(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(m, j * large[:m]) for each cofactor j, with large[:m] the large
-        primes p <= limit // j; each multiple of a large prime comes once."""
-        large = self.primes[self._n_small :]
-        if large.size == 0:
-            return
+    def _prime_pows(self, e: float) -> np.ndarray:
+        """float(p) ** e for every prime p by the scalar pow, taken in chunks
+        of 2**14 so that no list of all the primes exists."""
+        n, step = self.primes.size, 1 << 14
+        chunks = (self.primes[i : i + step].tolist() for i in range(0, n, step))
+        return np.fromiter(chain.from_iterable(map(pow, c, repeat(e)) for c in chunks), float, n)
+
+    def _multiply_in(self, tbl: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """Multiply factors[i] into tbl[k] for every multiple k of primes[i].
+        Some prime lies in (r, 2 r] (Bertrand), so ``large`` is never empty."""
+        n = self._n_small
+        for p, f in zip(self.primes[:n].tolist(), factors[:n].tolist()):
+            tbl[p::p] *= f
+        large, f_large = self.primes[n:], factors[n:]
         for j in range(1, self.limit // int(large[0]) + 1):
             m = int(np.searchsorted(large, self.limit // j, side="right"))
-            yield m, j * large[:m]
+            tbl[j * large[:m]] *= f_large[:m]
+        return tbl
 
     def check_n(self, n: int) -> None:
         if not 1 <= n <= self.limit:
@@ -110,24 +119,15 @@ class ArithTable:
 
     def omega_table(self, s: float) -> np.ndarray:
         """omega_s(k) = prod over p | k of (1 - p^-s)^-1, for all k <= limit (uncached)."""
-        tbl = np.ones(self.limit + 1)
-        for p in self.primes[: self._n_small].tolist():
-            tbl[p::p] *= 1.0 / (1.0 - float(p) ** (-s))
-        f = 1.0 / (1.0 - self.primes[self._n_small :].astype(float) ** (-s))
-        for m, idx in self._by_cofactor():
-            tbl[idx] *= f[:m]
-        return tbl
+        return self._multiply_in(np.ones(self.limit + 1), 1.0 / (1.0 - self._prime_pows(-s)))
 
     def base_vector(self, delta: float) -> np.ndarray:
-        """mu(k)^2 omega_{1+2delta}(k) k^{-1-2delta} for all k <= limit."""
+        """mu(k)^2 omega_{1+2delta}(k) k^{-1-2delta} for all k <= limit: for
+        squarefree k, the product over p | k of 1/(p^s - 1), s = 1 + 2 delta."""
         vec = self._base_cache.get(delta)
         if vec is None:
-            s = 1.0 + 2.0 * delta
-            k = np.arange(self.limit + 1, dtype=float)
-            k[0] = 1.0
-            vec = self.omega_table(s) * k ** (-s)
-            vec[self.mu == 0] = 0.0
-            vec[0] = 0.0
+            factors = 1.0 / (self._prime_pows(1.0 + 2.0 * delta) - 1.0)
+            vec = self._multiply_in(np.square(self.mu, dtype=float), factors)
             self._base_cache[delta] = vec
         return vec
 
@@ -155,9 +155,7 @@ def y_k_bruteforce(table: ArithTable, k: int, p: MollifierParams) -> complex:
         raise ValueError("k must be a positive integer")
     M, a, delta, t = p.M, p.a, p.delta, p.t
     table.check_n(M)
-    if k > M:
-        return 0j
-    if table.mu[k] == 0:
+    if k > M or table.mu[k] == 0:
         return 0j
     mu = table.mu
     js = np.arange(1, M // k + 1)
@@ -271,7 +269,7 @@ def zeta_vals(delta: float) -> tuple[float, float]:
     corrections; the derivative terms are the analytic s-derivatives of each
     piece.  Good to ~1e-13 over delta in (0, 1].
     """
-    if math.isnan(delta) or not 0.0 < delta <= 1.0:
+    if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     s = 1.0 + 2.0 * delta
     big_n = 24

@@ -41,7 +41,7 @@ def exp_e1(x: float) -> float:
     written exactly: the neighbours of 1.0 lie 2^-53 and 2^-52 away.  At
     x = 1 it takes 92 iterations.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError("E1 requires x > 0")
     if x < 1.0:
         total = -_EULER_GAMMA - math.log(x)
@@ -53,6 +53,8 @@ def exp_e1(x: float) -> float:
             if abs(contrib) < 1e-18 * abs(total):
                 break
         return total
+    if x == math.inf:  # E1(inf) = 0; the fraction would take 0 * inf
+        return 0.0
     # E1(x) = exp(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(...))))
     b = x + 1.0
     c = math.inf
@@ -76,7 +78,7 @@ def exp_e(x: float) -> float:
     mathematically positive everywhere; callers that exponentiate against it
     must treat 0.0 as an underflow flag).
     """
-    if math.isnan(x) or x < 0.0:
+    if not x >= 0.0:
         raise ValueError("E(x) diverges for x < 0")
     if x == 0.0:
         return 1.0
@@ -93,7 +95,7 @@ def exp_e_by_quadrature(x: float, tol: float = 1e-12) -> float:
     does not have for x < 1; the rewrite has no such restriction and shares
     no code with the series/continued-fraction path.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("E(x) diverges for x < 0")
 
     def g(u: float) -> float:
@@ -110,7 +112,7 @@ _E1_QUAD_TOL = 1e-12
 
 def exp_e1_by_quadrature(x: float) -> float:
     """E1(x) from its defining integral, via v = x/t onto (0, 1]."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError("E1 requires x > 0")
 
     def g(v: float) -> float:

@@ -237,13 +237,14 @@ def test_byte_determinism(capsys):
     assert runs[0] == runs[1]
 
 
-def _child(*args: str) -> subprocess.CompletedProcess:
-    # a fresh interpreter that imports this checkout's rankbound
+def _child(*args: str, **env: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter that imports this checkout's rankbound, with env
+    # added to its environment
     src = str(Path(rankbound.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path, **env), timeout=60,
     )
 
 
@@ -516,3 +517,41 @@ def test_reference_outputs(capsys):
         if (code, err, hashlib.sha256(out.encode()).hexdigest()) != (0, "", want):
             changed.append(argv)
     assert changed == []
+
+
+_REDUCED_FEATURES = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
+
+_PIN_PROBE = """
+import contextlib, hashlib, io, json, sys
+from rankbound import cli
+digests = {}
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv.split())
+    digests[argv] = [code, err.getvalue(), hashlib.sha256(out.getvalue().encode()).hexdigest()]
+sys.path.insert(0, sys.argv[2])
+import test_mollifier
+test_mollifier.test_s_sums_exact_bits(test_mollifier.ArithTable(100000))
+print(json.dumps(digests))
+"""
+
+
+def test_pins_hold_at_reduced_dispatch():
+    # numpy picks its SIMD kernels for the host when it loads.  A child with
+    # numpy's AVX-512 and AVX2 kernels switched off and OpenBLAS held to its
+    # Haswell kernels, in the child's environment only, must reproduce the
+    # reference digests and the s_sums bit pins.  check_positivity's minimum
+    # does move with the dispatch level, by about 1e-9 relative, so nothing
+    # pins its bits.
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    missing = [f for f in _REDUCED_FEATURES.split() if not umath.__cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"numpy does not dispatch to {' '.join(missing)} here: nothing to switch off")
+    proc = _child(
+        "-c", _PIN_PROBE, json.dumps(list(REFERENCE_SHA256)), str(Path(__file__).resolve().parent),
+        NPY_DISABLE_CPU_FEATURES=_REDUCED_FEATURES, OPENBLAS_CORETYPE="Haswell",
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = {argv: [0, "", digest] for argv, digest in REFERENCE_SHA256.items()}
+    assert json.loads(proc.stdout) == want

@@ -108,23 +108,24 @@ def test_arith_table_matches_per_prime_loop(limit):
     assert np.array_equal(t.mu, mu)
     for s, want in zip(exponents, omegas):
         assert np.array_equal(t.omega_table(s).view(np.int64), want.view(np.int64))
+    # base(k) = mu(k)^2 times the product over p | k of 1/(p^s - 1)
+    base = np.square(mu).astype(float)
+    for p in primes.tolist():
+        base[p::p] *= 1.0 / (float(p) ** 1.04 - 1.0)
+    assert np.array_equal(t.base_vector(0.02).view(np.int64), base.view(np.int64))
 
 
-def test_large_prime_factors_match_scalar_pow():
-    # The cofactor passes take the factors of the primes above isqrt(limit)
-    # from numpy's vectorised pow; at a large prime p, omega_s(p) is that
-    # factor alone.  Each limit in the chain 3e6, 1732, 41, 6 puts the primes
-    # between the next one and itself above its split, so together they cover
-    # every prime from 5 to 3e6.
-    limit = 3_000_000
-    while limit > 3:
-        t = ArithTable(limit)
-        large = t.primes[t.primes > max(math.isqrt(limit), 3)]
-        for delta in (0.02, 0.05, 0.1):
-            s = 1.0 + 2.0 * delta
-            want = np.array([1.0 / (1.0 - float(p) ** (-s)) for p in large.tolist()])
-            assert np.array_equal(t.omega_table(s)[large].view(np.int64), want.view(np.int64))
-        limit = math.isqrt(limit)
+@pytest.mark.parametrize("delta", [0.02, 0.05, 0.1])
+def test_base_vector_against_omega_table(table, delta):
+    # base(k) = prod over p | k of 1/(p^s - 1) against its definition
+    # mu(k)^2 omega_s(k) k^-s, whose factors round differently
+    s = 1.0 + 2.0 * delta
+    k_pow = np.array([0.0] + [float(k) ** (-s) for k in range(1, table.limit + 1)])
+    want = np.square(table.mu, dtype=float) * table.omega_table(s) * k_pow
+    got = table.base_vector(delta)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    nz = want != 0.0
+    assert np.max(np.abs(got[nz] / want[nz] - 1.0)) <= 4e-15
 
 
 def test_sieve_limits(small_table):
@@ -265,15 +266,15 @@ def test_s_sums_frozen(table, delta):
 # (a, delta) at M = 10^5; the values themselves are pinned at M = 10^4 with
 # a = 1/2 and 1/4, where M^a is an exact integer, so the k = M^a boundary of
 # the untapered prefix is pinned too.
-S_SUMS_GRID_SHA256 = "86f39c8d9063473710dad167919dd762ba6c5525e2ad157572cfcfa554b2278d"
+S_SUMS_GRID_SHA256 = "9b0efc943be863e2782872d657717b67b11b6e09d2801c2e1e09babc08af17d7"
 S_SUMS_AT_EXACT_KNEE = {
     0.5: (
         "0x1.d913302f81f1ep+0", "0x1.0a068fb95da26p-1", "0x1.d5f3197f8a30dp-2",
-        "0x1.bd2643e5e128ep-1", "0x1.d2a31fa9580c8p-2", "0x1.f126fa6607f2fp-2",
+        "0x1.bd2643e5e1291p-1", "0x1.d2a31fa9580c8p-2", "0x1.f126fa6607f2fp-2",
         "0x1.d965d8a015b31p-1", "0x1.0c89d80872f8ap+1",
     ),
     0.25: (
-        "0x1.9bec0fd091751p+0", "0x1.bded10a0736b7p-2", "0x1.0ccc78404ec3cp-1",
+        "0x1.9bec0fd091751p+0", "0x1.bded10a0736b7p-2", "0x1.0ccc78404ec3ep-1",
         "0x1.4c151f109a707p-1", "0x1.718e1e51027b4p-2", "0x1.23df9645b84b2p-1",
         "0x1.66049547e8537p-1", "0x1.d49220f605bf8p+0",
     ),

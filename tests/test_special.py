@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rankbound import special
+from rankbound.kernels import i_pm, i_pm_by_quadrature
 from rankbound.special import (
     exp_e,
     exp_e1,
@@ -77,6 +78,26 @@ def test_endpoints_and_domain():
         exp_e1(0.0)
     with pytest.raises(ValueError):
         exp_e1(-2.0)
+    assert exp_e1(math.inf) == 0.0 and exp_e(math.inf) == 0.0
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (exp_e, (math.nan,)),
+        (exp_e1, (math.nan,)),
+        (exp_e_by_quadrature, (math.nan,)),
+        (exp_e1_by_quadrature, (math.nan,)),
+        (i_pm, (0.5, math.nan, "+")),
+        (i_pm_by_quadrature, (0.5, math.nan, "+")),
+        (i_pm_by_quadrature, (math.nan, 1.0, "-")),
+    ],
+    ids=lambda v: getattr(v, "__name__", None) or ",".join(map(str, v)),
+)
+def test_nan_argument_raises(fn, args):
+    # before the integrator or the continued fraction sees it
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
 def test_series_cf_seam():
