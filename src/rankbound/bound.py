@@ -66,10 +66,14 @@ def _phi0_hat0(tol: float) -> float:
     return testfn.laplace(testfn.limit_measure(0), 0.0, tol)
 
 
-def h_of_a(a: float, delta: float, tol: float = 1e-10) -> BoundReport:
-    """Evaluate the bound at a single (a, delta)."""
+def _check_a(a: float) -> None:
     if math.isnan(a) or not 0.0 < a < 1.0:
         raise ValueError("a must lie strictly inside (0, 1)")
+
+
+def h_of_a(a: float, delta: float, tol: float = 1e-10) -> BoundReport:
+    """Evaluate the bound at a single (a, delta)."""
+    _check_a(a)
     if math.isnan(delta) or not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
     phi0_hat0 = _phi0_hat0(tol)
@@ -104,7 +108,11 @@ def grid_reports(
     span = (a_hi - a_lo) / step + 1e-9
     if span >= MAX_GRID_POINTS:  # the grid has floor(span) + 1 points
         raise ValueError(f"grid too large: more than {MAX_GRID_POINTS} points")
-    return [h_of_a(a_lo + i * step, delta, tol) for i in range(math.floor(span) + 1)]
+    grid = [a_lo + i * step for i in range(math.floor(span) + 1)]
+    # The grid ascends from a_lo > 0, but its last point can round up to 1;
+    # that fails here, before any work.
+    _check_a(grid[-1])
+    return [h_of_a(a, delta, tol) for a in grid]
 
 
 def minimize(

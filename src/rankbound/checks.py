@@ -153,7 +153,7 @@ def corner_weight_ok(box) -> bool:
     """The counting weight is at least 1 at the shrunk box's two left corners."""
     sg, it1, it2 = detector.shrunk_box(box)
     corners = [detector.detector_weight(box, sg, it1), detector.detector_weight(box, sg, it2)]
-    return min(corners) >= 1.0
+    return all(w >= 1.0 for w in corners)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ derivatives.  As eps -> 0 it converges to phi_0(x) = max(0, 1 - |x|) / cosh(x),
 and the first and second derivatives converge in total variation to explicit
 piecewise densities plus point masses (:func:`limit_measure`).  The module
 also gives their two-sided Laplace transforms and the positivity scan of
-Re(transform) on a fixed complex grid.
+Re(transform) on a fixed complex grid.  The scan folds the even phi_eps onto
+the half-line [0, 1 + 2 eps], where Re(transform) at sigma + i tau is twice
+the integral of phi_eps(x) cosh(sigma x) cos(tau x), even in sigma and tau;
+so it takes sigma >= 0 and tau >= 0 only.
 
 The bump is exactly 1 on [-1/2, 1/2] and 0 beyond 1/2 + eps, so each
 convolution at x is a prefix sum of the bump's quadrature samples over the
@@ -301,45 +304,44 @@ def laplace_deriv(m: Measure, s: float, tol: float = DEFAULT_TOL) -> float:
 
 
 # The positivity scan's grid of transform arguments s = sigma + i tau:
-# sigma from -1 to 1 and tau from 0 to 20, both in steps of 0.1.
+# sigma from 0 to 1 and tau from 0 to 20, both in steps of 0.1.  The scanned
+# f is even, so this covers sigma in [-1, 1] as well.
 _TAU_MAX = 20.0
 _STEP = 0.1
 
 
-def _min_re_transform(f, lo: float, hi: float, feature: float) -> float:
-    # Re of the transform at sigma + i tau is the integral of f(x) exp(sigma x)
-    # cos(tau x) over [lo, hi]; it is even in tau, so only tau >= 0 is scanned.
-    # One fixed Kronrod rule, with panels short against both the wavelength
-    # and the feature length of f, serves the grid; f gets the node array.
-    # The node count grows like 1/feature, so the cosines go in blocks of
-    # tau columns of about 2^20 entries, which bounds the memory.  Blocks
-    # are a multiple of 8 columns wide because OpenBLAS's matrix-vector
-    # kernel rounds a column differently only when it falls in a remainder
-    # past a multiple of 8; so nearly every column rounds as in one
-    # full-width product.
+def _min_re_transform(f, hi: float, feature: float) -> float:
+    """Minimum of Re(transform) of f over the grid; f must be even and vanish beyond hi.
+
+    For such an f, Re of the transform at sigma + i tau is 2 times the
+    integral of f(x) cosh(sigma x) cos(tau x) over [0, hi], even in sigma
+    and in tau.  One fixed Kronrod rule on [0, hi], with panels short
+    against both the wavelength and the feature length of f, serves the
+    grid; f gets the node array.
+    """
+    # The 11 sigma rows 2 w f(x) cosh(sigma x) form one matrix, and each
+    # block of tau columns takes one product.  The node count grows like
+    # 1/feature, so a block of cosines holds about 2^20 entries, which
+    # bounds the memory.  The block width changes how BLAS rounds a column,
+    # so the minimum's last bits depend on it and on the host; nothing pins
+    # them.  np.min keeps a nan, where builtin min could drop it.
     import numpy as np
 
     taus = np.arange(0.0, _TAU_MAX + 0.5 * _STEP, _STEP)
-    sigmas = np.concatenate([-np.arange(1, 11)[::-1], np.arange(0, 11)]) * _STEP
+    sigmas = np.arange(0, 11) * _STEP
     width = min(feature, math.pi / (4.0 * (_TAU_MAX + 1.0)))
-    nodes, weights = composite_gk15(lo, hi, int(math.ceil((hi - lo) / width)))
-    wphi = weights * np.asarray(f(nodes), dtype=float)
-    rows = [wphi * np.exp(sg * nodes) for sg in sigmas]
-    step = 8 * max(1, 2**17 // nodes.size)
-    best = math.inf
-    for j in range(0, taus.size, step):
-        cosmat = np.cos(nodes[:, None] * taus[None, j : j + step])
-        for row in rows:
-            best = min(best, float((row @ cosmat).min()))
-    return best
+    nodes, weights = composite_gk15(0.0, hi, int(math.ceil(hi / width)))
+    rows = 2.0 * weights * np.asarray(f(nodes), dtype=float) * np.cosh(sigmas[:, None] * nodes)
+    step = max(1, 2**20 // nodes.size)
+    blocks = range(0, taus.size, step)
+    return float(np.min([(rows @ np.cos(nodes[:, None] * taus[j : j + step])).min() for j in blocks]))
 
 
 def check_positivity(eps) -> float:
     """Minimum of Re(transform) of the smoothed function over the fixed grid,
     with quadrature panels also short against the smoothing scale eps/6."""
     e = _eps_of(eps)
-    half = 1.0 + 2.0 * e
-    return _min_re_transform(lambda x: phi_eps_deriv(e, x, 0), -half, half, e / 6.0)
+    return _min_re_transform(lambda x: phi_eps_deriv(e, x, 0), 1.0 + 2.0 * e, e / 6.0)
 
 
 def finite_eps_functional(eps, order: int, h: Callable[[float], float]) -> float:

@@ -123,6 +123,18 @@ def test_scan_builds_coarse_grid_once(capsys, monkeypatch):
     assert len(calls) == 62
 
 
+def test_scan_grid_past_one_fails_before_any_work(capsys, monkeypatch):
+    # The last grid point 0.3 + 7 * 0.1 rounds to 1.0: the grid is checked
+    # before the first h_of_a, so no point is computed.
+    calls = []
+    monkeypatch.setattr(bound, "h_of_a", lambda *args: calls.append(args))
+    code, out, err = run(
+        capsys, "scan", "--a-min", "0.3", "--a-max", "0.9999999999999999", "--step", "0.1"
+    )
+    assert (code, out, err) == (2, "", "error: a must lie strictly inside (0, 1)\n")
+    assert calls == []
+
+
 def test_scan_refines_up_to_off_grid_a_max(capsys):
     # The coarse grid ends at 0.48 but --a-max is 0.4855: the fine window is
     # clipped to a_max, not to the last coarse row, so 0.483 is reachable.

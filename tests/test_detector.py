@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rankbound import checks
+from rankbound import checks, detector
 from rankbound.detector import (
     MU,
     DetectorBox,
@@ -188,6 +188,20 @@ def test_shrunk_box_geometry():
     assert sg == pytest.approx(0.1 + 1.0 / (2.0 * math.pi), abs=1e-15)
     assert it1 == pytest.approx(-0.3 + MU / math.pi, abs=1e-15)
     assert it2 == pytest.approx(0.7 - MU / math.pi, abs=1e-15)
+
+
+@pytest.mark.parametrize("nan_call", [0, 1])
+def test_corner_weight_nan_fails(monkeypatch, nan_call):
+    # min(2.0, nan) is 2.0: a fold through min() passed a nan second corner.
+    calls = []
+
+    def weight(*args):
+        calls.append(args)
+        return math.nan if len(calls) == nan_call + 1 else 2.0
+
+    monkeypatch.setattr(detector, "detector_weight", weight)
+    assert checks.corner_weight_ok(DetectorBox(0.0, 0.0, 1.0)) is False
+    assert len(calls) == 2
 
 
 def test_weight_at_least_one_inside_shrunk_box():

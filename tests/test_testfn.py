@@ -224,14 +224,43 @@ def test_positivity_default_scan():
     assert got > 0.0
 
 
+def _full_line_min_re_transform(f, hi, feature):
+    # The unfolded scan: Re of the transform as the integral of
+    # f(x) exp(sigma x) cos(tau x) over [-hi, hi], at all 21 sigma in
+    # [-1, 1] and 201 tau in [0, 20], one sigma row at a time.
+    taus = np.arange(201) * 0.1
+    sigmas = np.arange(-10, 11) * 0.1
+    width = min(feature, math.pi / (4.0 * 21.0))
+    nodes, weights = composite_gk15(-hi, hi, int(math.ceil(2.0 * hi / width)))
+    wf = weights * f(nodes)
+    cosmat = np.cos(nodes[:, None] * taus[None, :])
+    return min(float(np.min((wf * np.exp(sg * nodes)) @ cosmat)) for sg in sigmas)
+
+
+@pytest.mark.parametrize("e", [0.05, 0.1])
+def test_positivity_fold_matches_full_line_scan(e):
+    want = _full_line_min_re_transform(lambda x: phi_eps_deriv(e, x, 0), 1.0 + 2.0 * e, e / 6.0)
+    assert check_positivity(e) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("e", [0.02, 0.05, 0.15, 0.25])
+def test_phi_eps_is_even(e):
+    # The positivity scan folds phi_eps onto x >= 0; this is what allows it.
+    # Below eps = 0.02 the prefix sum's drift (see _ConvTable) exceeds 1e-13.
+    x = np.linspace(0.0, 1.0 + 2.0 * e + 0.01, 2001)
+    assert np.max(np.abs(phi_eps_deriv(e, x, 0) - phi_eps_deriv(e, -x, 0))) <= 1e-13
+
+
 def test_positivity_memory_bounded():
     # The scan's cosines go in blocks of tau columns, so its memory stays
-    # bounded while the node count grows like 1/eps; the whole cosine matrix
-    # at this eps would take the peak to about 112 MiB.
-    testfn._table(0.005)
+    # bounded while the node count grows like 1/eps.  At this eps the peak
+    # is about 58 MiB, and the whole cosine matrix would take it to about
+    # 96 MiB.  (At eps = 0.005 the half-line matrix no longer shows: both
+    # peak at 58 MiB, in phi_eps_deriv's blocks.)
+    testfn._table(0.003)
     tracemalloc.start()
     try:
-        got = check_positivity(0.005)
+        got = check_positivity(0.003)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -244,10 +273,16 @@ def test_positivity_indicator_counterexample():
     # check_positivity runs must find it.  This is the reason the smoothing
     # exists at all.
     got = testfn._min_re_transform(
-        lambda x: np.where(np.abs(x) <= 0.5, 1.0, 0.0), -0.5, 0.5, 1.0 / 64.0
+        lambda x: np.where(np.abs(x) <= 0.5, 1.0, 0.0), 0.5, 1.0 / 64.0
     )
-    # closed form of the transform gives -0.2450452579 at (sigma, tau) = (-1, 8.9)
+    # closed form of the transform gives -0.2450452579 at (sigma, tau) = (+-1, 8.9)
     assert got == pytest.approx(-0.2450452579481729, rel=1e-6)
+
+
+def test_positivity_scan_keeps_nan():
+    # builtin min(inf, nan) is inf: a scan folded through it dropped a nan.
+    got = testfn._min_re_transform(lambda x: np.where(x < 0.25, 1.0, np.nan), 0.5, 1.0 / 64.0)
+    assert math.isnan(got)
 
 
 def test_finite_eps_functionals():
