@@ -20,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from . import kernels, testfn
+from . import kernels, limits
 
 __all__ = ["BoundReport", "h_of_a", "minimize", "grid_reports", "SERIES_TAIL", "MAX_GRID_POINTS"]
 
@@ -56,14 +56,14 @@ _PHI0_MEMO = 64
 @functools.lru_cache(maxsize=_G_PAIR_MEMO)
 def _g_pair(a: float, tol: float) -> tuple[float, float]:
     return (
-        kernels.g_psi(a, testfn.limit_measure(0), tol)[0],
-        kernels.g_psi(a, testfn.limit_measure(2), tol)[0],
+        kernels.g_psi(a, limits.limit_measure(0), tol)[0],
+        kernels.g_psi(a, limits.limit_measure(2), tol)[0],
     )
 
 
 @functools.lru_cache(maxsize=_PHI0_MEMO)
 def _phi0_hat0(tol: float) -> float:
-    return testfn.laplace(testfn.limit_measure(0), 0.0, tol)
+    return limits.laplace(limits.limit_measure(0), 0.0, tol)
 
 
 def _check_a(a: float) -> None:

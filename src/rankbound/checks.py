@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from . import detector, kernels, special, testfn
+from . import detector, kernels, limits, special
 
 # mollifier, and numpy with it, is imported inside the three mollifier
 # checks, so that the identity and detector checks load without numpy
@@ -69,7 +69,7 @@ def e_parts_worst(xs) -> float:
 def lemma1_worst(cases, tol: float) -> float:
     """Worst residual of kernels.verify_lemma1 over (a, measure order) pairs."""
     return _worst(
-        kernels.verify_lemma1(a, testfn.limit_measure(order), tol) for a, order in cases
+        kernels.verify_lemma1(a, limits.limit_measure(order), tol) for a, order in cases
     )
 
 

@@ -10,14 +10,14 @@ kernel integral, so G_psi at a second tol evaluates K only on panels the
 first did not visit (and at psi's atoms); ``_edges`` keeps K's edge values
 per a, sized with it.  ``_big_f1`` and ``_big_k1`` keep F(1, u) per u and
 K(1, x) per x, the a-free halves of verify_lemma1.  G_psi's transform
-factor comes from testfn's (measure, s, tol) memo.
+factor comes from the (measure, s, tol) memo in limits.
 """
 from __future__ import annotations
 
 import functools
 import math
 
-from . import testfn
+from . import limits
 from .quadrature import (
     DEFAULT_TOL,
     IntegrationDomain,
@@ -146,7 +146,7 @@ def g_psi(a: float, psi: Measure, tol: float = DEFAULT_TOL) -> tuple[float, floa
     """
     if not 0.0 < a <= 1.0:
         raise ValueError("need a in (0, 1]")
-    hat_smooth = testfn.laplace_density(psi, 1.0, tol)
+    hat_smooth = limits.laplace_density(psi, 1.0, tol)
     ker, ker_err = integrate_measure_with_err(
         lambda x: x * big_k(a, x) * math.exp(0.5 * x), psi, tol, _panels(a, psi)
     )
@@ -193,7 +193,7 @@ def verify_lemma1(a: float, psi: Measure, tol: float = 1e-9) -> float:
             # Both F values underflowed; the transform factor grows like
             # exp(u) and would overflow, so cut the product off here.
             return 0.0
-        return fd * testfn.laplace_deriv(psi, u + 0.5, tol)
+        return fd * limits.laplace_deriv(psi, u + 0.5, tol)
 
     lhs = pref * integrate(lhs_integrand, IntegrationDomain(0.5), tol).value
     rhs = pref * integrate_measure(

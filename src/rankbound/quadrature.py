@@ -5,13 +5,13 @@ panel rule, the classical 15-point Kronrod extension of 7-point Gauss,
 applied adaptively by splitting the current worst panel.  The rule is a
 fixed weighted sum of a panel's 15 values; the two entry points differ only
 in how those values are produced: :func:`integrate` calls a scalar integrand
-node by node, :func:`integrate_array` hands the 15 nodes to an array
-integrand at once (finite domains only; the two give the same bits on
-integrands that agree element by element).  The loop gives up as soon as
-failure is certain: the panels frozen at the width floor carry more error
-than the tolerance, the error sum has stalled at the rounding level (no new
-minimum over a fixed run of splits), the interval budget runs out, or the
-running error sum met the tolerance but its exact sum does not.
+node by node, :func:`integrate_array` hands the 15 nodes to a panel
+integrand at once, as a list (finite domains only; the two give the same
+bits on integrands that agree element by element).  The loop gives up as
+soon as failure is certain: the panels frozen at the width floor carry more
+error than the tolerance, the error sum has stalled at the rounding level
+(no new minimum over a fixed run of splits), the interval budget runs out,
+or the running error sum met the tolerance but its exact sum does not.
 
 :func:`integrate` and :func:`integrate_measure_with_err` take an optional
 panel memo: a dict, kept by the caller for one integrand, from a panel's
@@ -23,12 +23,13 @@ doubles, so the result equals the memo-free one field for field,
 ``n_evals`` included (it counts 15 per panel the result rests on).  Without a memo the loop calls
 the rule directly.
 
-:func:`composite_gk15` lays the same 15-node rule on fixed equal panels for
-the vectorized callers in testfn.  Semi-infinite domains are pulled back to
-(0, 1) with a logarithmic change of variable, which is accurate exactly when
-the integrand decays at least like exp(-t); integrands with slower decay
-must be rewritten by the caller (several modules do, with a comment at the
-call site).
+The 15-node layout is ``GK15_X`` and ``GK15_W``; testfn's composite rule
+lays it on fixed equal panels.  The module is scalar and imports no numpy.
+
+Semi-infinite domains are pulled back to (0, 1) with a logarithmic change
+of variable, which is accurate exactly when the integrand decays at least
+like exp(-t); integrands with slower decay must be rewritten by the caller
+(several modules do, with a comment at the call site).
 
 Measures here are a piecewise smooth density plus finitely many point masses;
 :func:`integrate_measure` splits the density integral at the breakpoints so
@@ -40,16 +41,12 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
-
-# numpy is imported inside composite_gk15 and integrate_array, the two entry
-# points that build arrays, so that the scalar pipeline loads without it
-# (tests/test_cli.py::test_scalar_commands_skip_numpy).
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Sequence
 
 __all__ = [
     "DEFAULT_TOL",
+    "GK15_X",
+    "GK15_W",
     "MAX_INTERVALS",
     "QuadResult",
     "IntegrationDomain",
@@ -113,9 +110,9 @@ _GAUSS_W = (
 )
 
 # The same rule on all 15 nodes of [-1, 1], ascending: the one layout that
-# the adaptive panel rule and composite_gk15 both use.
-_GK15_X = tuple(-x for x in _KRONROD_X[:7]) + _KRONROD_X[7::-1]
-_GK15_W = _KRONROD_W[:7] + _KRONROD_W[7::-1]
+# the adaptive panel rule and testfn.composite_gk15 both use.
+GK15_X = tuple(-x for x in _KRONROD_X[:7]) + _KRONROD_X[7::-1]
+GK15_W = _KRONROD_W[:7] + _KRONROD_W[7::-1]
 
 
 class QuadratureError(Exception):
@@ -183,33 +180,15 @@ def _gk15(panel: Callable[[list[float]], list[float]], a: float, b: float) -> tu
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    v = panel([c + h * x for x in _GK15_X])
-    kron = _GK15_W[7] * v[7]
+    v = panel([c + h * x for x in GK15_X])
+    kron = GK15_W[7] * v[7]
     gauss = _GAUSS_W[3] * v[7]
     for j in range(7):
         pair = v[j] + v[14 - j]
-        kron += _GK15_W[j] * pair
+        kron += GK15_W[j] * pair
         if j % 2 == 1:
             gauss += _GAUSS_W[j // 2] * pair
     return kron * h, abs(kron - gauss) * h
-
-
-def composite_gk15(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 15-point Kronrod rule on n equal panels of [lo, hi].
-
-    Both are flat numpy arrays, panel after panel with nodes ascending, so an
-    integral over [lo, hi] is ``weights @ f(nodes)``.  Callers that apply one
-    fixed rule to many integrands (convolutions, transform scans) use this
-    instead of the adaptive path.
-    """
-    import numpy as np
-
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    h = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + h * np.array(_GK15_X)[None, :]).ravel()
-    weights = np.broadcast_to(h * np.array(_GK15_W)[None, :], (n_panels, 15)).ravel()
-    return nodes, weights
 
 
 def _finite(xs: list[float], ys: list) -> list[float]:
@@ -355,27 +334,21 @@ def integrate(
 
 
 def integrate_array(
-    fv: Callable[[np.ndarray], np.ndarray],
+    fv: Callable[[list[float]], list[float]],
     domain: IntegrationDomain,
     tol: float = DEFAULT_TOL,
     breakpoints: Sequence[float] = (),
 ) -> QuadResult:
-    """:func:`integrate` for an integrand that maps an array of nodes to an array of values.
+    """:func:`integrate` for an integrand that maps a panel's 15 nodes, as a list, to 15 values.
 
-    ``fv`` is called once per 15-node panel.  Panels, sums and stopping rules
-    are those of :func:`integrate`, so an ``fv`` that agrees element by
-    element with a scalar integrand gives the same result bit for bit.  Only
-    finite domains are taken.
+    ``fv`` is called once per panel.  Panels, sums and stopping rules are
+    those of :func:`integrate`, so an ``fv`` that agrees element by element
+    with a scalar integrand gives the same result bit for bit.  Only finite
+    domains are taken.
     """
-    import numpy as np
-
     if math.isinf(domain.hi):
         raise ValueError("integrate_array needs a finite domain")
-
-    def panel(xs: list[float]) -> list[float]:
-        return _finite(xs, np.asarray(fv(np.array(xs)), dtype=float).tolist())
-
-    return _adaptive(panel, domain.lo, domain.hi, tol, breakpoints)
+    return _adaptive(lambda xs: _finite(xs, fv(xs)), domain.lo, domain.hi, tol, breakpoints)
 
 
 @dataclass(frozen=True)
@@ -421,22 +394,20 @@ class PiecewiseSmoothFn:
 class Measure:
     """Piecewise smooth density plus point masses.
 
-    ``density`` may be None for a purely atomic measure.  Atom masses are
-    nonnegative; atom locations must lie in the closure of the density's
-    support when a density is present.
+    Atom masses are nonnegative, and atom locations must lie in the closure
+    of the density's support.
     """
 
-    density: PiecewiseSmoothFn | None
+    density: PiecewiseSmoothFn
     atoms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
+        lo, hi = self.density.support
         for loc, mass in self.atoms:
             if mass < 0.0:
                 raise ValueError("atom masses must be nonnegative")
-            if self.density is not None:
-                lo, hi = self.density.support
-                if not (lo - 1e-12 <= loc <= hi + 1e-12):
-                    raise ValueError(f"atom at {loc} outside density support [{lo}, {hi}]")
+            if not (lo - 1e-12 <= loc <= hi + 1e-12):
+                raise ValueError(f"atom at {loc} outside density support [{lo}, {hi}]")
 
 
 def integrate_measure_with_err(
@@ -452,23 +423,18 @@ def integrate_measure_with_err(
     :func:`integrate`'s panel memo for the density part; it belongs to one
     (h, m) pair.
     """
-    total = 0.0
-    err = 0.0
     d = m.density
-    if d is not None:
-        lo, hi = d.support
-        res = integrate(
-            lambda x: h(x) * d(x),
-            IntegrationDomain(lo, hi),
-            tol,
-            breakpoints=d.breakpoints[1:-1],
-            memo=memo,
-        )
-        total += res.value
-        err += res.err_estimate
+    res = integrate(
+        lambda x: h(x) * d(x),
+        IntegrationDomain(*d.support),
+        tol,
+        breakpoints=d.breakpoints[1:-1],
+        memo=memo,
+    )
+    total = res.value
     for loc, mass in m.atoms:
         total += mass * h(loc)
-    return total, err
+    return total, res.err_estimate
 
 
 def integrate_measure(h: Callable[[float], float], m: Measure, tol: float = DEFAULT_TOL) -> float:

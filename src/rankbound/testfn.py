@@ -1,62 +1,38 @@
-"""Smoothed test functions and their sharp-cutoff limits.
+"""Smoothed test functions phi_eps, the eps > 0 family behind verification.
 
 The smoothed test function is (g * g) / cosh, the self-convolution of a
 C-infinity bump g of ramp width eps, damped by sech and normalized to 1 at
 the origin.  :func:`phi_eps_deriv` evaluates it and its first two
 derivatives.  As eps -> 0 it converges to phi_0(x) = max(0, 1 - |x|) / cosh(x),
-and the first and second derivatives converge in total variation to explicit
-piecewise densities plus point masses (:func:`limit_measure`).  The module
-also gives their two-sided Laplace transforms and the positivity scan of
-Re(transform) on a fixed complex grid.  The scan folds the even phi_eps onto
-the half-line [0, 1 + 2 eps], where Re(transform) at sigma + i tau is twice
-the integral of phi_eps(x) cosh(sigma x) cos(tau x), even in sigma and tau;
-so it takes sigma >= 0 and tau >= 0 only.
+whose derivative measures (:mod:`rankbound.limits`) feed H; nothing here
+does.  The module checks the family against that limit: the finite-eps
+functionals of :func:`finite_eps_functional` converge to the limit-measure
+integrals, and :func:`check_positivity` scans Re(transform) on a fixed
+complex grid.  The scan folds the even phi_eps onto the half-line
+[0, 1 + 2 eps], where Re(transform) at sigma + i tau is twice the integral
+of phi_eps(x) cosh(sigma x) cos(tau x), even in sigma and tau; so it takes
+sigma >= 0 and tau >= 0 only.
 
 The bump is exactly 1 on [-1/2, 1/2] and 0 beyond 1/2 + eps, so each
 convolution at x is a prefix sum of the bump's quadrature samples over the
 flat part plus short dot products over the two ramp windows around x -+ 1/2.
+The module builds arrays throughout, so it imports numpy at its top; the H
+pipeline never imports the module.
 
-Memos: ``_table`` keeps one convolution table per eps; ``limit_measure``
-builds one Measure per order; ``_transform`` keeps the transform integrals
-behind :func:`laplace`, :func:`laplace_density` and :func:`laplace_deriv`,
-keyed on (measure, s, tol, moment).
+Memos: ``_table`` keeps one convolution table per eps.
 """
 from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-from .quadrature import (
-    DEFAULT_TOL,
-    IntegrationDomain,
-    Measure,
-    PiecewiseSmoothFn,
-    composite_gk15,
-    integrate_array,
-    integrate_measure,
-)
+import numpy as np
 
-# numpy is imported inside the smoothing family, the functions that build
-# arrays, so that the limit measures and the H pipeline load without it
-# (tests/test_cli.py::test_scalar_commands_skip_numpy).
-if TYPE_CHECKING:
-    import numpy as np
+from .limits import limit_measure  # noqa: F401  (bench/workloads.py reads testfn.limit_measure)
+from .quadrature import GK15_W, GK15_X, IntegrationDomain, integrate_array
 
-__all__ = [
-    "phi_eps_deriv",
-    "limit_measure",
-    "laplace",
-    "laplace_density",
-    "laplace_deriv",
-    "check_positivity",
-    "finite_eps_functional",
-    "RHO",
-]
-
-# Sign change of the second derivative of (1 - x)/cosh x on (0, 1); the
-# order-2 limit density switches branch here.
-RHO = 0.2995792886928977
+__all__ = ["phi_eps_deriv", "check_positivity", "finite_eps_functional"]
 
 # Absolute tolerance of the adaptive finite-eps integrals.
 _FINITE_EPS_TOL = 1e-8
@@ -71,12 +47,26 @@ def _eps_of(eps) -> float:
     return e
 
 
+def composite_gk15(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 15-point Kronrod rule on n equal panels of [lo, hi].
+
+    Both are flat arrays, panel after panel with nodes ascending, so an
+    integral over [lo, hi] is ``weights @ f(nodes)``.  The convolution table
+    and the positivity scan apply this one fixed rule to many integrands
+    instead of taking the adaptive path.
+    """
+    edges = np.linspace(lo, hi, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    h = 0.5 * (edges[1] - edges[0])
+    nodes = (mid[:, None] + h * np.array(GK15_X)[None, :]).ravel()
+    weights = np.broadcast_to(h * np.array(GK15_W)[None, :], (n_panels, 15)).ravel()
+    return nodes, weights
+
+
 def _ramp(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The C-infinity ramp is 0 below y = 0, 1 above y = 1, and
     # sigma(1/(1-y) - 1/y) between; returns the mask 0 < y < 1, y there and
     # the sigmoid there.
-    import numpy as np
-
     mid = (y > 0.0) & (y < 1.0)
     ym = y[mid]
     z = np.clip(1.0 / ym - 1.0 / (1.0 - ym), -700.0, 700.0)
@@ -87,8 +77,6 @@ def _g_core(e: float, x: np.ndarray) -> np.ndarray:
     # The bump: 1 on [-1/2, 1/2], smooth ramps down to 0 at 1/2 + e.  out
     # comes before the ramp's temporaries: in the other order the peak RSS
     # of the positivity scan at eps = 0.05 is 10 MB higher.
-    import numpy as np
-
     y = (0.5 + e - np.abs(x)) / e
     out = np.zeros_like(y)
     out[y >= 1.0] = 1.0
@@ -99,8 +87,6 @@ def _g_core(e: float, x: np.ndarray) -> np.ndarray:
 
 def _gp_core(e: float, x: np.ndarray) -> np.ndarray:
     # d/dx of the bump: nonzero only on the two ramps.
-    import numpy as np
-
     y = (0.5 + e - np.abs(x)) / e
     out = np.zeros_like(x)
     mid, ym, s = _ramp(y)
@@ -127,8 +113,6 @@ class _ConvTable:
     """
 
     def __init__(self, e: float) -> None:
-        import numpy as np
-
         self.eps = e
         half = 0.5 + e
         n_panels = max(24, int(math.ceil(2.0 * half / (e / 6.0))))
@@ -147,15 +131,11 @@ class _ConvTable:
         """[(g * g)(x), (g' * g)(x), (g' * g')(x)] up to the given order."""
         # Rows go in blocks of about a million window entries, so the memory
         # of a long x (the positivity scan at small eps) stays bounded.
-        import numpy as np
-
         step = max(1, 2**20 // (2 * self.width))
         blocks = [self._convs(x[i : i + step], order) for i in range(0, max(x.size, 1), step)]
         return [np.concatenate(parts) for parts in zip(*blocks)]
 
     def _convs(self, x: np.ndarray, order: int) -> list[np.ndarray]:
-        import numpy as np
-
         lo = np.searchsorted(self.t, x - 0.5, side="left")  # first t >= x - 1/2
         hi = np.searchsorted(self.t, x + 0.5, side="right")  # first t > x + 1/2
         # Padded indices of the runs ending at lo and starting at hi.
@@ -171,15 +151,16 @@ class _ConvTable:
         return out
 
 
-@functools.lru_cache(maxsize=32)
+# Each public call uses one eps throughout.  The bench verify workload takes
+# three fresh eps per job and never repeats one, and criterion 9 cycles
+# through four, so four tables serve every caller.
+@functools.lru_cache(maxsize=4)
 def _table(e: float) -> _ConvTable:
     return _ConvTable(e)
 
 
 def phi_eps_deriv(eps, x, order: int):
     """The smoothed function (order 0) or its first or second derivative; zero for |x| > 1 + 2 eps."""
-    import numpy as np
-
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     e = _eps_of(eps)
@@ -200,114 +181,13 @@ def phi_eps_deriv(eps, x, order: int):
     return float(v) if a.ndim == 0 else v
 
 
-# ---------------------------------------------------------------------------
-# The eps -> 0 limit.  On (0, 1), with c = sech x and s = tanh x:
-#   v   = (1 - x) c
-#   v'  = -c (1 + (1 - x) s)
-#   v'' = 2 c s - (1 - x) c (c^2 - s^2)
-# Everything on (-1, 0) follows by the evenness of v.
-
-
-def _cs(x: float) -> tuple[float, float]:
-    return 1.0 / math.cosh(x), math.tanh(x)
-
-
-def _v(x: float) -> float:
-    c, _ = _cs(x)
-    return (1.0 - x) * c
-
-
-def _d1(x: float) -> float:
-    c, s = _cs(x)
-    return -c * (1.0 + (1.0 - x) * s)
-
-
-def _d2(x: float) -> float:
-    c, s = _cs(x)
-    return 2.0 * c * s - (1.0 - x) * c * (c * c - s * s)
-
-
-@functools.lru_cache(maxsize=None)
-def limit_measure(order: int) -> Measure:
-    """Total-variation limit of the order-th derivative of the smoothed function.
-
-    Order 0 is phi_0 itself (a plain density).  Order 1 is the density
-    |phi_0'|, still atom-free.  Order 2 picks up point masses: weight 2 at
-    the origin from the corner of 1 - |x|, and weight sech(1) at each of +-1
-    from the jump of phi_0' to zero; its density |phi_0''| changes branch at
-    +-RHO where phi_0'' crosses zero.
-    """
-    if order == 0:
-        density = PiecewiseSmoothFn(
-            breakpoints=(-1.0, 0.0, 1.0),
-            pieces=(lambda x: _v(-x), _v),
-            value_continuous=(True, True, True),
-        )
-        return Measure(density=density, atoms=())
-    if order == 1:
-        density = PiecewiseSmoothFn(
-            breakpoints=(-1.0, 0.0, 1.0),
-            pieces=(lambda x: -_d1(-x), lambda x: -_d1(x)),
-            value_continuous=(False, True, False),
-        )
-        return Measure(density=density, atoms=())
-    if order == 2:
-        density = PiecewiseSmoothFn(
-            breakpoints=(-1.0, -RHO, 0.0, RHO, 1.0),
-            pieces=(lambda x: _d2(-x), lambda x: -_d2(-x), lambda x: -_d2(x), _d2),
-            value_continuous=(False, True, True, True, False),
-        )
-        sech1 = 1.0 / math.cosh(1.0)
-        return Measure(density=density, atoms=((-1.0, sech1), (0.0, 2.0), (1.0, sech1)))
-    raise ValueError("order must be 0, 1 or 2")
-
-
-# Lemma 1's outer integral runs the same u-nodes at every a, so a sweep over
-# a asks for the same inner transform integrals again and again: 735 keys
-# (three measures, 245 nodes each) over 108 verify jobs at tol 1e-9, and
-# 975 in `verify --suite all` at tol 1e-10.  This holds two such tols.  A
-# Measure hashes by its fields, so laplace_density's atom-free copy of a
-# measure finds the entry of an earlier copy.
-_TRANSFORM_MEMO = 2048
-
-
-@functools.lru_cache(maxsize=_TRANSFORM_MEMO)
-def _transform(m: Measure, s: float, tol: float, moment: int) -> float:
-    # Integral of x^moment exp(s x) dm(x), moment 0 or 1.
-    if moment:
-        return integrate_measure(lambda x: x * math.exp(s * x), m, tol)
-    return integrate_measure(lambda x: math.exp(s * x), m, tol)
-
-
-def laplace(m: Measure, s: float, tol: float = DEFAULT_TOL) -> float:
-    """Two-sided transform integral of exp(s x) dm(x), |s| <= 4.
-
-    The cap is an overflow guard: every measure here lives on [-1, 1], so
-    larger |s| is never needed and would only invite exp blowups upstream.
-    """
-    if abs(s) > 4.0:
-        raise ValueError("transform argument limited to |s| <= 4")
-    return _transform(m, s, tol, 0)
-
-
-def laplace_density(m: Measure, s: float, tol: float = DEFAULT_TOL) -> float:
-    """Transform of the density part alone; point masses are left out."""
-    if m.density is None:
-        return 0.0
-    return _transform(Measure(m.density, ()), s, tol, 0)
-
-
-def laplace_deriv(m: Measure, s: float, tol: float = DEFAULT_TOL) -> float:
-    # d/ds of the transform: integral of x exp(s x) dm(x).  No |s| cap; the
-    # one caller that sweeps s to infinity guards the product itself.
-    return _transform(m, s, tol, 1)
-
-
 # The positivity scan's grid of transform arguments s = sigma + i tau:
 # sigma from 0 to 1 and tau from 0 to 20, both in steps of 0.1.  The scanned
 # f is even, so this covers sigma in [-1, 1] as well.
 _TAU_MAX = 20.0
 _STEP = 0.1
+_TAUS = np.arange(0.0, _TAU_MAX + 0.5 * _STEP, _STEP)
+_SIGMAS = np.arange(0, 11) * _STEP
 
 
 def _min_re_transform(f, hi: float, feature: float) -> float:
@@ -325,16 +205,12 @@ def _min_re_transform(f, hi: float, feature: float) -> float:
     # bounds the memory.  The block width changes how BLAS rounds a column,
     # so the minimum's last bits depend on it and on the host; nothing pins
     # them.  np.min keeps a nan, where builtin min could drop it.
-    import numpy as np
-
-    taus = np.arange(0.0, _TAU_MAX + 0.5 * _STEP, _STEP)
-    sigmas = np.arange(0, 11) * _STEP
     width = min(feature, math.pi / (4.0 * (_TAU_MAX + 1.0)))
     nodes, weights = composite_gk15(0.0, hi, int(math.ceil(hi / width)))
-    rows = 2.0 * weights * np.asarray(f(nodes), dtype=float) * np.cosh(sigmas[:, None] * nodes)
+    rows = 2.0 * weights * np.asarray(f(nodes), dtype=float) * np.cosh(_SIGMAS[:, None] * nodes)
     step = max(1, 2**20 // nodes.size)
-    blocks = range(0, taus.size, step)
-    return float(np.min([(rows @ np.cos(nodes[:, None] * taus[j : j + step])).min() for j in blocks]))
+    blocks = range(0, _TAUS.size, step)
+    return float(np.min([(rows @ np.cos(nodes[:, None] * _TAUS[j : j + step])).min() for j in blocks]))
 
 
 def check_positivity(eps) -> float:
@@ -352,13 +228,12 @@ def finite_eps_functional(eps, order: int, h: Callable[[float], float]) -> float
     than the fixed-rule one.  Each panel's 15 nodes go to phi_eps_deriv as
     one array; h is called node by node.
     """
-    import numpy as np
-
     e = _eps_of(eps)
     half = 1.0 + 2.0 * e
 
-    def fv(x: np.ndarray) -> np.ndarray:
-        return np.abs(phi_eps_deriv(e, x, order)) * np.array([h(t) for t in x.tolist()])
+    def fv(xs: list[float]) -> list[float]:
+        ys = np.abs(phi_eps_deriv(e, np.array(xs), order)) * np.array([h(t) for t in xs])
+        return ys.tolist()
 
     seeds = [b for b in (-1.0, -0.5, 0.0, 0.5, 1.0) if -half < b < half]
     domain = IntegrationDomain(-half, half)

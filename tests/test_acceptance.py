@@ -18,9 +18,10 @@ from rankbound import checks
 from rankbound.bound import grid_reports, h_of_a, minimize
 from rankbound.detector import DetectorBox, SyntheticH
 from rankbound.kernels import big_f, big_k, c_const, g_psi
+from rankbound.limits import laplace, limit_measure
 from rankbound.mollifier import ArithTable, MollifierParams, s_sums
 from rankbound.quadrature import DEFAULT_TOL, IntegrationDomain, integrate, integrate_measure
-from rankbound.testfn import finite_eps_functional, laplace, limit_measure
+from rankbound.testfn import finite_eps_functional
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

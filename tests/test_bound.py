@@ -67,7 +67,7 @@ def test_g_cache_ignores_delta(monkeypatch):
 
 # Memos whose keys come from a small fixed domain, never from a float that a
 # caller supplies, may grow without bound.
-UNBOUNDED_MEMOS = {"rankbound.testfn.limit_measure", "rankbound.cli._parser"}
+UNBOUNDED_MEMOS = {"rankbound.limits.limit_measure", "rankbound.cli._parser"}
 
 
 def test_memos_are_bounded():

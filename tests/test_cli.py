@@ -1,6 +1,7 @@
 """Command line entry point: exit codes, output formats, determinism."""
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -13,7 +14,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import rankbound
 from rankbound import bound, cli, detector, special
@@ -269,18 +270,20 @@ import contextlib, io, json, sys
 import rankbound
 from rankbound import cli
 seen = []
+mods = ("numpy", "rankbound.testfn", "rankbound.mollifier")
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv + ["--format", "json"])
-    seen.append([code, "numpy" in sys.modules])
+    seen.append([code] + [m in sys.modules for m in mods])
 print(json.dumps(seen))
 """
 
 
 def test_scalar_commands_skip_numpy():
     # The H pipeline and the detector are scalar: the package and these
-    # commands must not load numpy.  The mollifier suite must, which shows
-    # that the probe can tell the two apart.
+    # commands must not load numpy, nor testfn or mollifier, the two modules
+    # that import it.  The mollifier suite must load numpy and mollifier,
+    # which shows that the probe can tell the two apart.
     scalar = [
         ["constants"],
         ["bound", "--a", "0.48", "--delta", "0.5"],
@@ -290,7 +293,39 @@ def test_scalar_commands_skip_numpy():
     ]
     proc = _child("-c", _NUMPY_PROBE, json.dumps(scalar + [["verify", "--suite", "mollifier"]]))
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert json.loads(proc.stdout) == [[0, False]] * len(scalar) + [[0, True]]
+    # Each row: exit code, then whether numpy, testfn and mollifier are loaded.
+    want = [[0, False, False, False]] * len(scalar) + [[0, True, False, True]]
+    assert json.loads(proc.stdout) == want
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    # Dotted names an import statement loads, relative ones without dots.
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        if node.module is None:
+            return [alias.name for alias in node.names]
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_numpy_imports_only_at_the_top_of_two_modules():
+    # The rule behind the probe above, as a module boundary: numpy is
+    # imported at module level in testfn and mollifier and nowhere else, and
+    # no other module imports testfn.
+    numpy_at, testfn_from = set(), set()
+    for path in sorted(Path(rankbound.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            names = _imported_modules(node)
+            if any(n.split(".")[0] == "numpy" for n in names):
+                numpy_at.add((path.stem, node in tree.body))
+            if path.stem != "testfn" and any(
+                n.removeprefix("rankbound.").split(".")[0] == "testfn" for n in names
+            ):
+                testfn_from.add(path.stem)
+    assert numpy_at == {("testfn", True), ("mollifier", True)}
+    assert testfn_from == set()
 
 
 def test_earlier_calls_do_not_leak(capsys):
@@ -352,6 +387,75 @@ def test_exit_codes(capsys):
         assert code == 2 and out == ""
     code, out, _ = run(capsys, "verify", "--suite", "detector", "--seed", "1", "--format", "json")
     assert code == 0 and json.loads(out)["seed"] == 1
+
+
+_EDGE_FLOATS = ("nan", "inf", "-inf", "5e-324", "1e-15", "0.9999999999999999")
+
+
+def _floats(*ordinary: str):
+    return st.sampled_from(_EDGE_FLOATS + ordinary)
+
+
+def _option(name: str, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+_A, _DELTA, _TOL = _floats("0.3", "0.45", "0.483", "0.7"), _floats("0.5", "0.25", "0.6"), _floats("1e-8")
+_FUZZ_ARGV = st.one_of(
+    st.tuples(st.just(["constants"]), _option("--tol", _TOL)),
+    st.tuples(
+        st.just(["bound"]),
+        _A.map(lambda v: ["--a", v]),
+        _DELTA.map(lambda v: ["--delta", v]),
+        _option("--tol", _TOL),
+    ),
+    st.tuples(
+        st.just(["scan"]),
+        _option("--a-min", _A),
+        _option("--a-max", _A),
+        _floats("0.05", "0.1").map(lambda v: ["--step", v]),
+        _option("--delta", _DELTA),
+        _option("--tol", _TOL),
+    ),
+).map(lambda parts: sum(parts, []) + ["--format", "json"])
+
+
+def _numbers(v):
+    if isinstance(v, dict):
+        v = list(v.values())
+    if isinstance(v, list):
+        return [x for item in v for x in _numbers(item)]
+    return [v] if isinstance(v, float) else []
+
+
+@given(_FUZZ_ARGV)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_no_input_fails_late_or_prints_nonfinite(argv):
+    # Exit 2 (bad parameters) comes before any h_of_a returns, and exit 0
+    # prints only finite numbers.  Grids of more than 50 points are skipped
+    # to keep the test fast; test_exit_codes covers the refused ones.
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    if argv[0] == "scan":
+        span = float(opts.get("--a-max", "0.7")) - float(opts.get("--a-min", "0.3"))
+        assume(not span / float(opts["--step"]) > 50)
+    returned = []
+    h_of_a = bound.h_of_a
+
+    def counted(*args):
+        report = h_of_a(*args)
+        returned.append(args)
+        return report
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        patch.setattr(bound, "h_of_a", counted)
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert all(math.isfinite(x) for x in _numbers(json.loads(out.getvalue())))
+    if code == 2:
+        assert returned == []
 
 
 def test_output_rounding(capsys):

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankbound import kernels, testfn
+from rankbound import kernels, limits
 from rankbound.kernels import (
     big_f,
     big_k,
@@ -15,8 +15,8 @@ from rankbound.kernels import (
     i_pm_by_quadrature,
     verify_lemma1,
 )
+from rankbound.limits import limit_measure
 from rankbound.quadrature import IntegrationDomain, integrate
-from rankbound.testfn import limit_measure
 
 C_CONST = 11.0280277174132199103129240176
 
@@ -270,7 +270,7 @@ LEMMA1_HEX = {
 
 
 def _lemma1_memos():
-    return (testfn._transform, kernels._big_f1, kernels._big_k1)
+    return (limits._transform, kernels._big_f1, kernels._big_k1)
 
 
 def test_lemma1_exact_bits_cold_and_warm():

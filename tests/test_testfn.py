@@ -7,16 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankbound import testfn
-from rankbound.quadrature import composite_gk15
+from rankbound import limits, testfn
+from rankbound.limits import RHO, laplace, laplace_density, laplace_deriv, limit_measure
 from rankbound.testfn import (
-    RHO,
     check_positivity,
+    composite_gk15,
     finite_eps_functional,
-    laplace,
-    laplace_density,
-    laplace_deriv,
-    limit_measure,
     phi_eps_deriv,
 )
 
@@ -137,8 +133,8 @@ def test_phi0_derivatives_match_finite_differences(x):
 
 
 def test_rho_is_the_inflection_of_phi0():
-    assert testfn._d2(RHO - 1e-6) * testfn._d2(RHO + 1e-6) < 0.0
-    assert abs(testfn._d2(RHO)) < 1e-9
+    assert limits._d2(RHO - 1e-6) * limits._d2(RHO + 1e-6) < 0.0
+    assert abs(limits._d2(RHO)) < 1e-9
 
 
 def test_limit_measure_shapes():
