@@ -76,6 +76,8 @@ def h_of_a(a: float, delta: float, tol: float = 1e-10) -> BoundReport:
     _check_a(a)
     if math.isnan(delta) or not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
+    if a * delta == 0.0 or math.isinf(1.0 / (a * delta)):
+        raise ValueError(f"1/(a delta) is not finite: a * delta = {a * delta!r} is too small")
     phi0_hat0 = _phi0_hat0(tol)
     g0_one, g2_one = _g_pair(1.0, tol)
     g0_a, g2_a = _g_pair(a, tol)

@@ -4,10 +4,15 @@ quadratic sums S, S1, S2, S3 with their closed-form main terms.
 Everything here is a finite sum over the integers up to M, vectorized over
 the sieved tables, which is the point: the analytic closed forms elsewhere
 in the pipeline are verified against these exact sums at concrete M.
+
+The tables are as long as M; the taper sums of ``s_sums`` are not.  They run
+over blocks of 2**17 entries, so their temporaries stay at a block's size
+whatever M is.  Any M up to 2**17, M = 1e5 among them, is one block.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -36,6 +41,10 @@ class MollifierParams:
     t: float = 0.0
 
     def __post_init__(self) -> None:
+        # M indexes the tables; a float M would fail only after the base
+        # vector is built.  numpy ints are Integral too.
+        if not isinstance(self.M, numbers.Integral):
+            raise ValueError(f"M must be an integer, not {self.M!r}")
         if self.M < 10:
             raise ValueError("M must be at least 10")
         if not 0.0 < self.a < 1.0:
@@ -167,6 +176,13 @@ def y_k_bruteforce(table: ArithTable, k: int, p: MollifierParams) -> complex:
     return pref * total
 
 
+# Entries per block of the tail sums in s_sums.  2**17 is the smallest power
+# of two that holds the whole tail (n_lo, M] at M = 1e5, so every pinned sum
+# and every printed residual is one block: the same numpy sums, bit for bit,
+# as one pass over the whole tail.  A larger M moves only in the last bits.
+_BLOCK = 1 << 17
+
+
 class SSums(NamedTuple):
     S: float
     S1: float
@@ -186,6 +202,11 @@ def s_sums(table: ArithTable, p: MollifierParams) -> SSums:
     S = S1 + S2 + S3 holds to rounding (that regrouping is an algebraic
     identity).  The height t plays no role: it cancels from |y_k|^2 before
     this point.
+
+    The sums over the tapered range M^a < k <= M are taken block by block,
+    ``_BLOCK`` entries at a time, and the block sums are added in order; no
+    temporary is longer than a block.  For M <= 2**17 the tail is one block
+    and the arithmetic is that of one pass over the whole tail.
     """
     M, a, d = p.M, p.a, p.delta
     table.check_n(M)
@@ -197,12 +218,15 @@ def s_sums(table: ArithTable, p: MollifierParams) -> SSums:
     z = zeta_p / zeta
 
     low_sum = float(np.sum(base[1 : n_lo + 1]))
-    b_hi = base[n_lo + 1 : M + 1]
-    lg_hi = np.log(float(M) / np.arange(n_lo + 1, M + 1, dtype=float))
-    h0 = float(np.sum(b_hi))
-    h1 = float(np.sum(b_hi * lg_hi))
-    h2 = float(np.sum(b_hi * lg_hi * lg_hi))
-    hz = float(np.sum(b_hi * (lg_hi - z) ** 2))
+    h0 = h1 = h2 = hz = 0.0
+    for lo in range(n_lo + 1, M + 1, _BLOCK):
+        hi = min(lo + _BLOCK, M + 1)
+        b = base[lo:hi]
+        lg = np.log(float(M) / np.arange(lo, hi, dtype=float))
+        h0 += float(np.sum(b))
+        h1 += float(np.sum(b * lg))
+        h2 += float(np.sum(b * lg * lg))
+        hz += float(np.sum(b * (lg - z) ** 2))
 
     L2 = cap_l * cap_l
     s_full = (low_sum + hz / L2) / zeta

@@ -7,10 +7,12 @@ comparison at delta = 0.02 is known to exceed its allowance at M = 10^5 and
 is expected to fail; see the module comment on test_criterion_8_closed_form.
 """
 
+import ast
 import collections
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +209,19 @@ def test_nan_residual_fails(monkeypatch, capsys):
     with pytest.raises(AssertionError):
         test_criterion_8_truncated_zeta(None)
     assert capsys.readouterr().out.startswith("ACCEPTANCE 8: FAIL: ")
+
+
+def test_checks_fold_only_through_worst():
+    # max(0.5, nan) is 0.5 and min(nan, 0.5) is nan but min(0.5, nan) is
+    # 0.5: a builtin min or max in checks can drop a nan residual, so every
+    # fold goes through checks._worst
+    tree = ast.parse(Path(checks.__file__).read_text())
+    found = [
+        f"line {node.lineno}: {node.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in ("min", "max")
+    ]
+    assert found == []
 
 
 def test_criterion_9_limit_convergence():

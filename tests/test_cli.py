@@ -369,8 +369,9 @@ def test_exit_codes(capsys):
         code, out, err = run(capsys, "verify", "--suite", "identities", "--tol", tol)
         assert code == 0 and "FAIL" not in out and err == ""
     assert time.perf_counter() - start < 5.0
-    # a non-finite H is a numerical failure, never a printed result
-    code, out, err = run(capsys, "bound", "--a", "0.5", "--delta", "1e-320")
+    # a non-finite H is a numerical failure, never a printed result; here
+    # 1/(a delta) is finite and H overflows only after the work
+    code, out, err = run(capsys, "bound", "--a", "0.5", "--delta", "1.15e-308")
     assert code == 1 and out == "" and "computation failed" in err
     # argparse-level failures keep their conventional exit code
     code, _, _ = run(capsys, "no-such-command")
@@ -456,6 +457,25 @@ def test_no_input_fails_late_or_prints_nonfinite(argv):
         assert all(math.isfinite(x) for x in _numbers(json.loads(out.getvalue())))
     if code == 2:
         assert returned == []
+    if argv[0] != "constants" and opts.get("--delta") == "5e-324":
+        assert code == 2  # a * delta underflows to 0 whatever a is
+
+
+@pytest.mark.parametrize("argv", [
+    "bound --a 0.483 --delta 5e-324",
+    "bound --a 5e-324 --delta 0.5",
+    "bound --a 0.5 --delta 1e-320",
+    "scan --delta 5e-324",
+])
+def test_infinite_reciprocal_fails_before_any_work(capsys, monkeypatch, argv):
+    # 1/(a delta) is inf, or a * delta is 0: no H can be finite, so the
+    # parameters are refused before phi0hat(0) or a G pair is computed
+    calls = []
+    monkeypatch.setattr(bound, "_g_pair", lambda *args: calls.append(args))
+    monkeypatch.setattr(bound, "_phi0_hat0", lambda *args: calls.append(args))
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, calls) == (2, "", [])
+    assert "1/(a delta) is not finite" in err
 
 
 def test_output_rounding(capsys):

@@ -8,6 +8,7 @@ pinned.
 import cmath
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,16 @@ def test_params_validation():
             MollifierParams(M, a, d)
 
 
+def test_params_reject_non_integral_m(small_table):
+    # a float M would fail only after the base vector is built
+    for M in (1e5, 100.0, np.float64(100.0), "100"):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            MollifierParams(M, 0.5, 0.05)
+    want = s_sums(small_table, MollifierParams(400, 0.5, 0.05))
+    for M in (np.int64(400), np.int32(400)):
+        assert s_sums(small_table, MollifierParams(M, 0.5, 0.05)) == want
+
+
 def g_cap(M: float, a: float, x: float) -> float:
     """Logarithmic taper of the mollifier: 1 up to M^a, log-linear down to 0 at M."""
     if x <= 0.0:
@@ -292,6 +303,67 @@ def test_s_sums_exact_bits(table):
         assert (10000.0**a).is_integer()
         got = s_sums(table, MollifierParams(10000, a, 0.05))
         assert tuple(v.hex() for v in got) == want
+
+
+def _s_sums_whole(table, p):
+    # s_sums with the tail sums taken in one pass over the whole tail
+    M, a, d = p.M, p.a, p.delta
+    zeta, zeta_p = zeta_vals(d)
+    base = table.base_vector(d)
+    n_lo = math.floor(float(M) ** a)
+    cap_l = (1.0 - a) * math.log(M)
+    z = zeta_p / zeta
+    low_sum = float(np.sum(base[1 : n_lo + 1]))
+    b_hi = base[n_lo + 1 : M + 1]
+    lg_hi = np.log(float(M) / np.arange(n_lo + 1, M + 1, dtype=float))
+    h0 = float(np.sum(b_hi))
+    h1 = float(np.sum(b_hi * lg_hi))
+    h2 = float(np.sum(b_hi * lg_hi * lg_hi))
+    hz = float(np.sum(b_hi * (lg_hi - z) ** 2))
+    L2 = cap_l * cap_l
+    m2ad = float(M) ** (-2.0 * a * d)
+    m2d = float(M) ** (-2.0 * d)
+    return (
+        (low_sum + hz / L2) / zeta,
+        (low_sum + h2 / L2) / zeta,
+        -2.0 * zeta_p / (zeta * zeta) * h1 / L2,
+        zeta_p * zeta_p / (zeta**3) * h0 / L2,
+        1.0 + (1.0 / (d * cap_l)) * ((m2ad - m2d) / (2.0 * d * cap_l) - m2ad),
+        -2.0 * (zeta_p / (zeta * zeta)) / cap_l * ((m2d - m2ad) / (4.0 * d * d * cap_l) + m2ad / (2.0 * d)),
+        (zeta_p * zeta_p / zeta**3) * (m2ad - m2d) / (2.0 * d * L2),
+        1.0 + (m2ad - m2d) / (4.0 * d * d * (1.0 - a) ** 2 * math.log(M) ** 2),
+    )
+
+
+@pytest.fixture(scope="module")
+def big_table():
+    return ArithTable(1_000_000)
+
+
+# 300,000 and 10^6 span 3 and 8 blocks; at 262,656 = 2^18 + 512 and a = 1/2
+# the tail is exactly two full blocks.
+@pytest.mark.parametrize("M", [300_000, 1_000_000, 262_656])
+@pytest.mark.parametrize("a, delta", [(0.3, 0.02), (0.5, 0.05), (0.7, 0.1)])
+def test_streamed_s_sums_match_whole_tail(big_table, M, a, delta):
+    p = MollifierParams(M, a, delta)
+    got = s_sums(big_table, p)
+    for g, w in zip(got, _s_sums_whole(big_table, p)):
+        assert abs(g - w) <= 1e-13 * abs(w)
+    assert abs(got.S - (got.S1 + got.S2 + got.S3)) <= 1e-12
+
+
+def test_s_sums_memory_stays_at_block_size(big_table):
+    # The taper temporaries are a block long (1 MiB each), not M long:
+    # one pass over the whole tail peaks at 15 MiB here.
+    p = MollifierParams(1_000_000, 0.3, 0.05)
+    big_table.base_vector(p.delta)
+    tracemalloc.start()
+    try:
+        s_sums(big_table, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_s_sums_independent_of_t(table):
