@@ -53,11 +53,16 @@ class MollifierParams:
             raise ValueError("delta must be positive")
 
 
+# Base vectors an ArithTable keeps, one per delta: the CLI uses 2 deltas per
+# table, the acceptance tests 3 and a bench job at most 3.
+_BASE_MEMO = 4
+
+
 class ArithTable:
     """Sieved tables up to ``limit`` (below 2**31): smallest prime factors
     ``spf`` (int32), the ``primes``, Mobius values ``mu`` (int8), and per
     exponent the multiplicative tables omega and the base weights (the
-    latter cached).
+    latter cached for the last ``_BASE_MEMO`` deltas).
 
     Every k <= limit has at most one prime factor above r = isqrt(limit); it
     divides k to the first power and is k's largest prime factor (Bays and
@@ -137,6 +142,8 @@ class ArithTable:
         if vec is None:
             factors = 1.0 / (self._prime_pows(1.0 + 2.0 * delta) - 1.0)
             vec = self._multiply_in(np.square(self.mu, dtype=float), factors)
+            if len(self._base_cache) == _BASE_MEMO:
+                del self._base_cache[next(iter(self._base_cache))]
             self._base_cache[delta] = vec
         return vec
 

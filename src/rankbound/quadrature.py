@@ -3,25 +3,28 @@
 Every adaptive integral in the package funnels through one loop and one
 panel rule, the classical 15-point Kronrod extension of 7-point Gauss,
 applied adaptively by splitting the current worst panel.  The rule is a
-fixed weighted sum of a panel's 15 values; the two entry points differ only
-in how those values are produced: :func:`integrate` calls a scalar integrand
-node by node, :func:`integrate_array` hands the 15 nodes to a panel
-integrand at once, as a list (finite domains only; the two give the same
-bits on integrands that agree element by element).  The loop gives up as
-soon as failure is certain: the panels frozen at the width floor carry more
-error than the tolerance, the error sum has stalled at the rounding level
-(no new minimum over a fixed run of splits), the interval budget runs out,
-or the running error sum met the tolerance but its exact sum does not.
+fixed weighted sum of a panel's 15 values; the three entry points differ
+only in how those values are produced.  :func:`integrate` calls a scalar
+integrand node by node, on an interval or a ray.  :func:`integrate_array`
+hands the 15 nodes to a panel integrand at once, as a list (finite domains
+only; the two give the same bits on integrands that agree element by
+element).  :func:`integrate_measure_with_err` integrates against a
+:class:`Measure`, a piecewise smooth density plus point masses: the
+density's breakpoints are the loop's first cuts and the loop only bisects,
+so every panel lies inside one gap, and the gap's piece is picked once per
+panel.  The loop gives up as soon as failure is certain: the panels frozen
+at the width floor carry more error than the tolerance, the error sum has
+stalled at the rounding level (no new minimum over a fixed run of splits),
+the interval budget runs out, or the running error sum met the tolerance
+but its exact sum does not.
 
-:func:`integrate` and :func:`integrate_measure_with_err` take an optional
-panel memo: a dict, kept by the caller for one integrand, from a panel's
-endpoints to the rule's (value, error).  The loop splits the worst panel
-first, so the panels of a loose tol are a prefix of those of a tight one
-(QUADPACK, Piessens et al. 1983), and a second call at another tol
-recomputes only the panels it has not seen.  A hit gives the same two
-doubles, so the result equals the memo-free one field for field,
-``n_evals`` included (it counts 15 per panel the result rests on).  Without a memo the loop calls
-the rule directly.
+Only :func:`integrate_measure_with_err` takes a panel memo: a dict, kept by
+the caller for one (integrand, measure) pair, from a panel's endpoints to
+the rule's (value, error).  The loop splits the worst panel first, so the
+panels of a loose tol are a prefix of those of a tight one (QUADPACK,
+Piessens et al. 1983), and a second call at another tol recomputes only
+the panels it has not seen.  A hit gives the same two doubles, so the
+result is the memo-free one bit for bit.
 
 The 15-node layout is ``GK15_X`` and ``GK15_W``; testfn's composite rule
 lays it on fixed equal panels.  The module is scalar and imports no numpy.
@@ -30,10 +33,6 @@ Semi-infinite domains are pulled back to (0, 1) with a logarithmic change
 of variable, which is accurate exactly when the integrand decays at least
 like exp(-t); integrands with slower decay must be rewritten by the caller
 (several modules do, with a comment at the call site).
-
-Measures here are a piecewise smooth density plus finitely many point masses;
-:func:`integrate_measure` splits the density integral at the breakpoints so
-the adaptive rule never straddles a kink.
 """
 from __future__ import annotations
 
@@ -297,13 +296,11 @@ def integrate(
     domain: IntegrationDomain,
     tol: float = DEFAULT_TOL,
     breakpoints: Sequence[float] = (),
-    memo: dict | None = None,
 ) -> QuadResult:
     """Integrate ``f`` over ``domain`` to absolute tolerance ``tol``.
 
     ``breakpoints`` are interior points where the integrand is allowed to be
-    non-smooth; the initial panel layout honors them.  ``memo`` is the
-    panel memo of the module docstring, one per integrand.  Raises
+    non-smooth; the initial panel layout honors them.  Raises
     :class:`EvaluationError` on nan/inf from ``f`` and
     :class:`ConvergenceError` (carrying the best estimate) as soon as the
     tolerance is out of reach: the panels frozen at the width floor carry
@@ -326,10 +323,10 @@ def integrate(
             return out + [0.0] * (len(us) - len(out))
 
         cuts = [-math.expm1(-(b - lo)) for b in breakpoints if b > lo]
-        return _adaptive(mapped, 0.0, 1.0, tol, cuts, memo)
+        return _adaptive(mapped, 0.0, 1.0, tol, cuts)
 
     return _adaptive(
-        lambda xs: _finite(xs, list(map(f, xs))), domain.lo, domain.hi, tol, breakpoints, memo
+        lambda xs: _finite(xs, list(map(f, xs))), domain.lo, domain.hi, tol, breakpoints
     )
 
 
@@ -381,14 +378,6 @@ class PiecewiseSmoothFn:
     def support(self) -> tuple[float, float]:
         return self.breakpoints[0], self.breakpoints[-1]
 
-    def __call__(self, x: float) -> float:
-        if x < self.breakpoints[0] or x > self.breakpoints[-1]:
-            return 0.0
-        # Right-continuous convention at interior breakpoints; the last
-        # breakpoint maps into the final piece.
-        i = bisect.bisect_right(self.breakpoints, x) - 1
-        return float(self.pieces[min(i, len(self.pieces) - 1)](x))
-
 
 @dataclass(frozen=True)
 class Measure:
@@ -418,19 +407,21 @@ def integrate_measure_with_err(
 ) -> tuple[float, float]:
     """Integral of ``h`` against ``m`` with the quadrature error estimate.
 
-    Atoms contribute exactly (no error); the density part is integrated
-    piecewise so breakpoint kinks never sit inside a panel.  ``memo`` is
-    :func:`integrate`'s panel memo for the density part; it belongs to one
+    Atoms contribute exactly (no error).  Each panel lies in one gap of the
+    density, and the gap's piece is picked from the panel's centre node,
+    which the width floor keeps strictly inside the gap.  The rule is
+    one-sided: a node that rounds onto the panel's own edge, a breakpoint,
+    takes the piece of the gap the panel lies in, not its neighbour's.
+    ``memo`` is the panel memo of the module docstring; it belongs to one
     (h, m) pair.
     """
-    d = m.density
-    res = integrate(
-        lambda x: h(x) * d(x),
-        IntegrationDomain(*d.support),
-        tol,
-        breakpoints=d.breakpoints[1:-1],
-        memo=memo,
-    )
+    bp, pieces = m.density.breakpoints, m.density.pieces
+
+    def panel(xs: list[float]) -> list[float]:
+        piece = pieces[bisect.bisect_right(bp, xs[7]) - 1]
+        return _finite(xs, [h(x) * piece(x) for x in xs])
+
+    res = _adaptive(panel, bp[0], bp[-1], tol, bp[1:-1], memo)
     total = res.value
     for loc, mass in m.atoms:
         total += mass * h(loc)

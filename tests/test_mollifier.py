@@ -129,6 +129,17 @@ def test_base_vector_against_omega_table(table, delta):
     assert np.max(np.abs(got[nz] / want[nz] - 1.0)) <= 4e-15
 
 
+def test_base_vector_memo_is_bounded():
+    # The memo is keyed on caller-supplied deltas: a fifth delta evicts the
+    # oldest, which comes back with the same bits, and the last four stay.
+    t = ArithTable(400)
+    deltas = (0.01, 0.02, 0.05, 0.1, 0.2)
+    vecs = [t.base_vector(d) for d in deltas]
+    assert all(t.base_vector(d) is v for d, v in zip(deltas[1:], vecs[1:]))
+    again = t.base_vector(deltas[0])
+    assert again is not vecs[0] and np.array_equal(again.view(np.int64), vecs[0].view(np.int64))
+
+
 def test_sieve_limits(small_table):
     with pytest.raises(ValueError):
         small_table.check_n(401)

@@ -147,32 +147,34 @@ def test_exact_bits():
     )
 
 
-@pytest.mark.parametrize(
-    "domain", [IntegrationDomain(0.0, 1.0), IntegrationDomain(0.0)], ids=["finite", "ray"]
-)
-def test_panel_memo_keeps_results(domain):
+def test_panel_memo_keeps_results():
     # No breakpoint at the kink, so the tight tol splits panels the loose one
     # never visits, and the loose tol's panels are among the tight one's.
     nodes = []
 
-    def f(x):
+    def h(x):
         nodes.append(x)
-        return math.exp(-x) * math.sqrt(abs(x - 0.3))
+        return math.exp(-x)
 
+    m = Measure(PiecewiseSmoothFn((0.0, 1.0), (lambda x: math.sqrt(abs(x - 0.3)),), (False, False)))
     loose, tight = 1e-6, 1e-12
-    cold = {tol: integrate(f, domain, tol) for tol in (loose, tight)}
-    assert cold[tight].n_evals > cold[loose].n_evals
+    cold, cold_evals = {}, {}
+    for tol in (loose, tight):
+        nodes.clear()
+        cold[tol] = integrate_measure_with_err(h, m, tol)
+        cold_evals[tol] = len(nodes)
+    assert cold_evals[tight] > cold_evals[loose]
 
     memo = {}
     nodes.clear()
-    assert integrate(f, domain, loose, memo=memo) == cold[loose]
-    assert integrate(f, domain, tight, memo=memo) == cold[tight]
-    assert len(nodes) == cold[tight].n_evals
+    assert integrate_measure_with_err(h, m, loose, memo) == cold[loose]
+    assert integrate_measure_with_err(h, m, tight, memo) == cold[tight]
+    assert len(nodes) == cold_evals[tight]
 
     memo = {}
-    assert integrate(f, domain, tight, memo=memo) == cold[tight]
+    assert integrate_measure_with_err(h, m, tight, memo) == cold[tight]
     nodes.clear()
-    assert integrate(f, domain, loose, memo=memo) == cold[loose]
+    assert integrate_measure_with_err(h, m, loose, memo) == cold[loose]
     assert nodes == []
 
 
@@ -181,7 +183,7 @@ def test_rounding_level_tol_fails_fast_with_its_reason():
     # largest s that check reaches, is about 45,483, where one ulp is 7.3e-12.
     # A tol under that is met, if ever, only by rounding luck; these two fail
     # quickly, each naming why.
-    d = limits.limit_measure(0).density
+    m = limits.limit_measure(0)
     s = 16.85280728362608
     start = time.perf_counter()
     for tol, why in (
@@ -189,12 +191,7 @@ def test_rounding_level_tol_fails_fast_with_its_reason():
         (3e-14, "the error stalled"),
     ):
         with pytest.raises(ConvergenceError, match=why) as exc:
-            integrate(
-                lambda x: x * math.exp(s * x) * d(x),
-                IntegrationDomain(-1.0, 1.0),
-                tol,
-                breakpoints=(0.0,),
-            )
+            integrate_measure_with_err(lambda x: x * math.exp(s * x), m, tol)
         assert exc.value.best.value == pytest.approx(45483.196, rel=1e-7)
     assert time.perf_counter() - start < 5.0
 
@@ -296,13 +293,26 @@ def test_piecewise_fn_validation():
 
 
 def test_piecewise_fn_routing():
-    f = PiecewiseSmoothFn((0.0, 1.0, 2.0), (lambda x: 1.0, lambda x: 2.0), (False, False, False))
-    assert f.support == (0.0, 2.0)
-    assert f(0.5) == 1.0
-    assert f(1.0) == 2.0  # right-continuous at interior breakpoints
-    assert f(1.5) == 2.0
-    assert f(2.0) == 2.0  # top endpoint belongs to the last piece
-    assert f(-0.1) == 0.0 and f(2.1) == 0.0
+    # Two gaps with different pieces: each piece sees only nodes of its own
+    # closed gap, and x e^x on [0, 1] plus x cos x on [1, 3] come out exact.
+    seen = ([], [])
+
+    def recorded(i, g):
+        def piece(x):
+            seen[i].append(x)
+            return g(x)
+
+        return piece
+
+    d = PiecewiseSmoothFn(
+        (0.0, 1.0, 3.0), (recorded(0, math.exp), recorded(1, math.cos)), (False, False, False)
+    )
+    assert d.support == (0.0, 3.0)
+    val, _ = integrate_measure_with_err(lambda x: x, Measure(d), tol=1e-14)
+    exact = 1.0 + 3.0 * math.sin(3.0) + math.cos(3.0) - math.sin(1.0) - math.cos(1.0)
+    assert val == pytest.approx(exact, abs=1e-14)
+    assert seen[0] and all(0.0 <= x <= 1.0 for x in seen[0])
+    assert seen[1] and all(1.0 <= x <= 3.0 for x in seen[1])
 
 
 def test_measure_validation():
