@@ -112,8 +112,10 @@ def grid_reports(
         raise ValueError(f"grid too large: more than {MAX_GRID_POINTS} points")
     grid = [a_lo + i * step for i in range(math.floor(span) + 1)]
     # The grid ascends from a_lo > 0, but its last point can round up to 1;
-    # that fails here, before any work.
+    # that fails here, before any work.  A last point that rounds just past
+    # a_hi (0.1 + 6 * 0.1 is 0.7000000000000001) is a_hi.
     _check_a(grid[-1])
+    grid[-1] = min(grid[-1], a_hi)
     return [h_of_a(a, delta, tol) for a in grid]
 
 

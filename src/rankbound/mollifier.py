@@ -5,6 +5,10 @@ Everything here is a finite sum over the integers up to M, vectorized over
 the sieved tables, which is the point: the analytic closed forms elsewhere
 in the pipeline are verified against these exact sums at concrete M.
 
+An ArithTable is a read-only prefix view of one sieve held per process, the
+largest built so far, with the base vectors of its last four deltas; a table
+at a smaller limit costs no sieving and no base vector the sieve already has.
+
 The tables are as long as M; the taper sums of ``s_sums`` are not.  They run
 over blocks of 2**17 entries, so their temporaries stay at a block's size
 whatever M is.  Any M up to 2**17, M = 1e5 among them, is one block.
@@ -53,16 +57,96 @@ class MollifierParams:
             raise ValueError("delta must be positive")
 
 
-# Base vectors an ArithTable keeps, one per delta: the CLI uses 2 deltas per
-# table, the acceptance tests 3 and a bench job at most 3.
+# Base vectors the held sieve keeps, one per delta: the CLI uses 2 deltas,
+# the acceptance tests 3 and the bench's jobs 3 in all.
 _BASE_MEMO = 4
+
+
+def _prime_pows(primes: np.ndarray, e: float) -> np.ndarray:
+    """float(p) ** e for every prime p by the scalar pow, taken in chunks of
+    2**14 so that no list of all the primes exists."""
+    n, step = primes.size, 1 << 14
+    chunks = (primes[i : i + step].tolist() for i in range(0, n, step))
+    return np.fromiter(chain.from_iterable(map(pow, c, repeat(e)) for c in chunks), float, n)
+
+
+def _multiply_in(tbl: np.ndarray, primes: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Multiply factors[i] into tbl[k] for every multiple k of primes[i], for
+    k up to limit = tbl.size - 1, with primes all the primes up to limit.
+    Some prime lies in (r, 2 r] (Bertrand), so ``large`` is never empty."""
+    limit = tbl.size - 1
+    n = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
+    for p, f in zip(primes[:n].tolist(), factors[:n].tolist()):
+        tbl[p::p] *= f
+    large, f_large = primes[n:], factors[n:]
+    for j in range(1, limit // int(large[0]) + 1):
+        m = int(np.searchsorted(large, limit // j, side="right"))
+        tbl[j * large[:m]] *= f_large[:m]
+    return tbl
+
+
+class _Sieve:
+    """The full-length tables behind every ArithTable of the process, all
+    read-only, and the base vectors of the last ``_BASE_MEMO`` deltas."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        n = limit + 1
+        spf = np.zeros(n, dtype=np.int32)  # every entry is at most limit
+        for i in range(2, math.isqrt(limit) + 1):
+            if spf[i] == 0:
+                seg = spf[i * i :: i]
+                seg[seg == 0] = i
+        # No strided pass reaches 0, 1 or a prime, and every composite has a
+        # prime factor up to isqrt(limit); so the zeros left are 0, 1 and
+        # the primes, in order.
+        rest = np.nonzero(spf == 0)[0]
+        spf[rest] = rest  # remaining entries are prime (and 0, 1 map to themselves)
+        primes = rest[2:].copy()  # an owner, so that its views stay read-only
+        mu = _multiply_in(np.ones(n, dtype=np.int8), primes, np.full(primes.size, -1, np.int8))
+        mu[0] = 0
+        for p in primes[: np.searchsorted(primes, math.isqrt(limit), side="right")].tolist():
+            mu[p * p :: p * p] = 0
+        for arr in (spf, primes, mu):
+            arr.flags.writeable = False
+        self.spf, self.primes, self.mu = spf, primes, mu
+        self._bases: dict[float, np.ndarray] = {}
+
+    def base_vector(self, delta: float) -> np.ndarray:
+        vec = self._bases.get(delta)
+        if vec is None:
+            factors = 1.0 / (_prime_pows(self.primes, 1.0 + 2.0 * delta) - 1.0)
+            vec = _multiply_in(np.square(self.mu, dtype=float), self.primes, factors)
+            vec.flags.writeable = False
+            if len(self._bases) == _BASE_MEMO:
+                del self._bases[next(iter(self._bases))]
+            self._bases[delta] = vec
+        return vec
+
+
+# The largest sieve built in this process; ArithTable replaces it only with a
+# larger one.
+_held: _Sieve | None = None
 
 
 class ArithTable:
     """Sieved tables up to ``limit`` (below 2**31): smallest prime factors
     ``spf`` (int32), the ``primes``, Mobius values ``mu`` (int8), and per
-    exponent the multiplicative tables omega and the base weights (the
-    latter cached for the last ``_BASE_MEMO`` deltas).
+    exponent the multiplicative tables omega and the base weights.
+
+    A table is a read-only prefix view of the one sieve the process holds,
+    the largest built so far: ``spf``, ``mu`` and ``primes`` are its first
+    entries, and ``base_vector`` slices its full-length vector.  A limit
+    past the held sieve's builds a new one at exactly that limit, and the
+    module lets go of the old one first.  Every entry is a prefix because
+    none depends on the limit: spf, mu and the primes are facts about k, and
+    the multiplicative tables below multiply k's prime factors in ascending
+    order at any limit, so a view has the bits of a table built at its own
+    limit.  The held sieve and the base vectors of its last ``_BASE_MEMO``
+    deltas stay resident after the callers' tables are gone (at 3e6, 17 MB
+    of sieve and 24 MB per vector); a delta new to it costs one base vector
+    at the held size, however small the table asking.  The arrays are
+    read-only because every table shares them.
 
     Every k <= limit has at most one prime factor above r = isqrt(limit); it
     divides k to the first power and is k's largest prime factor (Bays and
@@ -81,51 +165,20 @@ class ArithTable:
     """
 
     def __init__(self, limit: int) -> None:
+        global _held
         limit = int(limit)
         if limit < 2:
             raise ValueError("sieve limit must be at least 2")
         if limit >= 2**31:
             raise ValueError("sieve limit must be below 2**31")
+        if _held is None or _held.limit < limit:
+            _held = None  # let go of the old sieve before building the new one
+            _held = _Sieve(limit)
+        self._sieve = sieve = _held
         self.limit = limit
-        n = limit + 1
-        spf = np.zeros(n, dtype=np.int32)  # every entry is at most limit
-        for i in range(2, math.isqrt(limit) + 1):
-            if spf[i] == 0:
-                seg = spf[i * i :: i]
-                seg[seg == 0] = i
-        # No strided pass reaches 0, 1 or a prime, and every composite has a
-        # prime factor up to isqrt(limit); so the zeros left are 0, 1 and
-        # the primes, in order.
-        rest = np.nonzero(spf == 0)[0]
-        spf[rest] = rest  # remaining entries are prime (and 0, 1 map to themselves)
-        self.spf = spf
-        self.primes = rest[2:]
-        self._n_small = int(np.searchsorted(self.primes, math.isqrt(limit), side="right"))
-        mu = self._multiply_in(np.ones(n, dtype=np.int8), np.full(self.primes.size, -1, np.int8))
-        mu[0] = 0
-        for p in self.primes[: self._n_small].tolist():
-            mu[p * p :: p * p] = 0
-        self.mu = mu
-        self._base_cache: dict[float, np.ndarray] = {}
-
-    def _prime_pows(self, e: float) -> np.ndarray:
-        """float(p) ** e for every prime p by the scalar pow, taken in chunks
-        of 2**14 so that no list of all the primes exists."""
-        n, step = self.primes.size, 1 << 14
-        chunks = (self.primes[i : i + step].tolist() for i in range(0, n, step))
-        return np.fromiter(chain.from_iterable(map(pow, c, repeat(e)) for c in chunks), float, n)
-
-    def _multiply_in(self, tbl: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """Multiply factors[i] into tbl[k] for every multiple k of primes[i].
-        Some prime lies in (r, 2 r] (Bertrand), so ``large`` is never empty."""
-        n = self._n_small
-        for p, f in zip(self.primes[:n].tolist(), factors[:n].tolist()):
-            tbl[p::p] *= f
-        large, f_large = self.primes[n:], factors[n:]
-        for j in range(1, self.limit // int(large[0]) + 1):
-            m = int(np.searchsorted(large, self.limit // j, side="right"))
-            tbl[j * large[:m]] *= f_large[:m]
-        return tbl
+        self.spf = sieve.spf[: limit + 1]
+        self.mu = sieve.mu[: limit + 1]
+        self.primes = sieve.primes[: int(np.searchsorted(sieve.primes, limit, side="right"))]
 
     def check_n(self, n: int) -> None:
         if not 1 <= n <= self.limit:
@@ -133,19 +186,14 @@ class ArithTable:
 
     def omega_table(self, s: float) -> np.ndarray:
         """omega_s(k) = prod over p | k of (1 - p^-s)^-1, for all k <= limit (uncached)."""
-        return self._multiply_in(np.ones(self.limit + 1), 1.0 / (1.0 - self._prime_pows(-s)))
+        factors = 1.0 / (1.0 - _prime_pows(self.primes, -s))
+        return _multiply_in(np.ones(self.limit + 1), self.primes, factors)
 
     def base_vector(self, delta: float) -> np.ndarray:
         """mu(k)^2 omega_{1+2delta}(k) k^{-1-2delta} for all k <= limit: for
-        squarefree k, the product over p | k of 1/(p^s - 1), s = 1 + 2 delta."""
-        vec = self._base_cache.get(delta)
-        if vec is None:
-            factors = 1.0 / (self._prime_pows(1.0 + 2.0 * delta) - 1.0)
-            vec = self._multiply_in(np.square(self.mu, dtype=float), factors)
-            if len(self._base_cache) == _BASE_MEMO:
-                del self._base_cache[next(iter(self._base_cache))]
-            self._base_cache[delta] = vec
-        return vec
+        squarefree k, the product over p | k of 1/(p^s - 1), s = 1 + 2 delta.
+        A read-only prefix of the held sieve's vector."""
+        return self._sieve.base_vector(delta)[: self.limit + 1]
 
 
 def y_k_bruteforce(table: ArithTable, k: int, p: MollifierParams) -> complex:

@@ -7,7 +7,7 @@ import pkgutil
 import pytest
 
 import rankbound
-from rankbound import kernels
+from rankbound import bound, kernels
 from rankbound.bound import SERIES_TAIL, grid_reports, h_of_a, minimize
 
 H_048_HALF = 6.49795663079525332764056783948
@@ -96,6 +96,15 @@ def test_grid_is_closed():
     assert [r.a for r in reports] == pytest.approx(
         [0.4, 0.45, 0.5, 0.55, 0.6], abs=1e-12
     )
+
+
+def test_grid_ends_on_a_hi(monkeypatch):
+    # 0.1 + 6 * 0.1 is 0.7000000000000001, past a_hi: the last point is a_hi.
+    # The default grid and the 0.45 .. 0.55 one end on a_hi exactly.
+    monkeypatch.setattr(bound, "h_of_a", lambda a, delta, tol: a)
+    assert grid_reports(0.5, 0.1, 0.7, 0.1) == [0.1 + i * 0.1 for i in range(6)] + [0.7]
+    assert grid_reports(0.5, 0.3, 0.7, 0.01)[-1] == 0.30 + 40 * 0.01 == 0.7
+    assert grid_reports(0.5, 0.45, 0.55, 0.05)[-1] == 0.45 + 2 * 0.05 == 0.55
 
 
 def test_minimize_default_window():

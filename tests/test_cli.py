@@ -207,6 +207,8 @@ def test_verify_fails_on_nan_residual(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "identities")
     assert code == 1
     assert [line.split()[0] for line in out.splitlines() if "e_identities" in line] == ["FAIL"]
+    n = sum(line.startswith(("PASS", "FAIL")) for line in out.splitlines())
+    assert n > 1 and out.splitlines()[-1] == f"suite identities: {n - 1}/{n} passed"
 
     monkeypatch.setattr(detector, "lemma6_check", lambda h, box, tol=1e-9: (0.0, 0.0, math.nan))
     code, out, _ = run(capsys, "verify", "--suite", "detector", "--format", "json")

@@ -6,9 +6,11 @@ pinned.
 """
 
 import cmath
+import gc
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -82,6 +84,9 @@ def _per_prime_tables(limit, exponents):
         if is_prime[i]:
             is_prime[i * i :: i] = False
     primes = np.nonzero(is_prime)[0]
+    spf = np.arange(limit + 1)
+    for p in primes[::-1].tolist():  # descending, so the smallest factor writes last
+        spf[p::p] = p
     mu = np.ones(limit + 1, dtype=np.int64)
     mu[0] = 0
     for p in primes:
@@ -95,25 +100,34 @@ def _per_prime_tables(limit, exponents):
         for p in primes:
             tbl[int(p) :: int(p)] *= 1.0 / (1.0 - float(p) ** (-s))
         omegas.append(tbl)
-    return primes, mu, omegas
+    return spf, primes, mu, omegas
 
 
 @pytest.mark.parametrize("limit", [2, 3, 8, 9, 10, 48, 49, 50, 97, 1000, 30030, 100001, 300007])
-def test_arith_table_matches_per_prime_loop(limit):
+def test_arith_table_matches_per_prime_loop(limit, monkeypatch):
     # squares of primes and their neighbours, where isqrt(limit) is prime and
-    # the split between strided and cofactor primes moves
+    # the split between strided and cofactor primes moves.  Each limit is
+    # checked as a view of the sieve held for 10^6, and as a sieve built at
+    # exactly the limit with none held before.
     exponents = (1.04, 1.1, 1.2, 1.5, 3.0)
-    primes, mu, omegas = _per_prime_tables(limit, exponents)
-    t = ArithTable(limit)
-    assert np.array_equal(t.primes, primes)
-    assert np.array_equal(t.mu, mu)
-    for s, want in zip(exponents, omegas):
-        assert np.array_equal(t.omega_table(s).view(np.int64), want.view(np.int64))
+    spf, primes, mu, omegas = _per_prime_tables(limit, exponents)
     # base(k) = mu(k)^2 times the product over p | k of 1/(p^s - 1)
     base = np.square(mu).astype(float)
     for p in primes.tolist():
         base[p::p] *= 1.0 / (float(p) ** 1.04 - 1.0)
-    assert np.array_equal(t.base_vector(0.02).view(np.int64), base.view(np.int64))
+    big = ArithTable(1_000_000)
+    view = ArithTable(limit)
+    assert np.shares_memory(view.spf, big.spf)
+    monkeypatch.setattr(mollifier, "_held", None)
+    built = ArithTable(limit)
+    assert mollifier._held.limit == limit and not np.shares_memory(built.spf, big.spf)
+    for t in (view, built):
+        assert np.array_equal(t.spf, spf)
+        assert np.array_equal(t.primes, primes)
+        assert np.array_equal(t.mu, mu)
+        for s, want in zip(exponents, omegas):
+            assert np.array_equal(t.omega_table(s).view(np.int64), want.view(np.int64))
+        assert np.array_equal(t.base_vector(0.02).view(np.int64), base.view(np.int64))
 
 
 @pytest.mark.parametrize("delta", [0.02, 0.05, 0.1])
@@ -129,15 +143,52 @@ def test_base_vector_against_omega_table(table, delta):
     assert np.max(np.abs(got[nz] / want[nz] - 1.0)) <= 4e-15
 
 
-def test_base_vector_memo_is_bounded():
+def test_base_vector_memo_is_bounded(monkeypatch):
     # The memo is keyed on caller-supplied deltas: a fifth delta evicts the
     # oldest, which comes back with the same bits, and the last four stay.
+    # Each call returns a new view, so a vector that stays is the same
+    # buffer of the held sieve.
+    monkeypatch.setattr(mollifier, "_held", None)
     t = ArithTable(400)
     deltas = (0.01, 0.02, 0.05, 0.1, 0.2)
     vecs = [t.base_vector(d) for d in deltas]
-    assert all(t.base_vector(d) is v for d, v in zip(deltas[1:], vecs[1:]))
+    assert all(np.shares_memory(t.base_vector(d), v) for d, v in zip(deltas[1:], vecs[1:]))
     again = t.base_vector(deltas[0])
-    assert again is not vecs[0] and np.array_equal(again.view(np.int64), vecs[0].view(np.int64))
+    assert not np.shares_memory(again, vecs[0])
+    assert np.array_equal(again.view(np.int64), vecs[0].view(np.int64))
+
+
+def test_held_sieve_is_bounded(monkeypatch):
+    # The module holds only the largest sieve: a smaller one lives as long
+    # as its callers' tables, and a sieve keeps at most four base vectors
+    # once its callers drop theirs.
+    monkeypatch.setattr(mollifier, "_held", None)
+    small = ArithTable(1000)
+    small_sieve = weakref.ref(mollifier._held)
+    big = ArithTable(2000)
+    assert ArithTable(1500).spf.base is big.spf.base
+    assert small_sieve() is not None
+    del small
+    gc.collect()
+    assert small_sieve() is None
+    vecs = [weakref.ref(big.base_vector(d).base) for d in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3)]
+    gc.collect()
+    assert [v() is not None for v in vecs] == [False, False, True, True, True, True]
+
+
+def test_shared_tables_are_read_only():
+    # Every table views the same held arrays, so a write through one table
+    # would reach them all: it raises, and a later table keeps its bits.
+    t = ArithTable(1000)
+    arrays = (t.spf, t.mu, t.primes, t.base_vector(0.05))
+    want = [a.tobytes() for a in arrays]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[4] = 7
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
+    later = ArithTable(1000)
+    assert [a.tobytes() for a in (later.spf, later.mu, later.primes, later.base_vector(0.05))] == want
 
 
 def test_sieve_limits(small_table):
