@@ -10,8 +10,11 @@ largest built so far, with the base vectors of its last four deltas; a table
 at a smaller limit costs no sieving and no base vector the sieve already has.
 
 The tables are as long as M; the taper sums of ``s_sums`` are not.  They run
-over blocks of 2**17 entries, so their temporaries stay at a block's size
-whatever M is.  Any M up to 2**17, M = 1e5 among them, is one block.
+over blocks of 2**17 entries cut at fixed edges, so their two buffers stay at
+a block's size whatever M is, and every block past the first depends on
+(M, delta) alone: the held sieve keeps those block sums for its last four
+(M, delta) pairs, and a second cutoff a at the same pair sums only its
+first block.  Any M up to 2**17, M = 1e5 among them, is one block.
 """
 from __future__ import annotations
 
@@ -58,8 +61,10 @@ class MollifierParams:
 
 
 # Base vectors the held sieve keeps, one per delta: the CLI uses 2 deltas,
-# the acceptance tests 3 and the bench's jobs 3 in all.
-_BASE_MEMO = 4
+# the acceptance tests 3 and the bench's jobs 3 in all.  The sieve keeps the
+# tail block sums of s_sums for as many (M, delta) pairs: a bench job asks
+# for 2, each at two cutoffs a.  The CLI's M = 1e5 is one block and keeps none.
+_MEMO = 4
 
 
 def _prime_pows(primes: np.ndarray, e: float) -> np.ndarray:
@@ -68,6 +73,14 @@ def _prime_pows(primes: np.ndarray, e: float) -> np.ndarray:
     n, step = primes.size, 1 << 14
     chunks = (primes[i : i + step].tolist() for i in range(0, n, step))
     return np.fromiter(chain.from_iterable(map(pow, c, repeat(e)) for c in chunks), float, n)
+
+
+def _remember(memo: dict, key, value):
+    """Store value under key, first dropping the oldest entry of a full memo."""
+    if len(memo) == _MEMO:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 def _multiply_in(tbl: np.ndarray, primes: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -87,7 +100,8 @@ def _multiply_in(tbl: np.ndarray, primes: np.ndarray, factors: np.ndarray) -> np
 
 class _Sieve:
     """The full-length tables behind every ArithTable of the process, all
-    read-only, and the base vectors of the last ``_BASE_MEMO`` deltas."""
+    read-only, the base vectors of the last ``_MEMO`` deltas, and the tail
+    block sums of ``s_sums`` for the last ``_MEMO`` (M, delta) pairs."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
@@ -111,6 +125,7 @@ class _Sieve:
             arr.flags.writeable = False
         self.spf, self.primes, self.mu = spf, primes, mu
         self._bases: dict[float, np.ndarray] = {}
+        self._tails: dict[tuple[int, float], list] = {}
 
     def base_vector(self, delta: float) -> np.ndarray:
         vec = self._bases.get(delta)
@@ -118,10 +133,16 @@ class _Sieve:
             factors = 1.0 / (_prime_pows(self.primes, 1.0 + 2.0 * delta) - 1.0)
             vec = _multiply_in(np.square(self.mu, dtype=float), self.primes, factors)
             vec.flags.writeable = False
-            if len(self._bases) == _BASE_MEMO:
-                del self._bases[next(iter(self._bases))]
-            self._bases[delta] = vec
+            _remember(self._bases, delta, vec)
         return vec
+
+    def tail_blocks(self, m: int, delta: float) -> list:
+        """The block sums of s_sums at (m, delta): entry j is block j's
+        (h0, h1, h2, hz), or None until a query sums that block."""
+        blocks = self._tails.get((m, delta))
+        if blocks is None:
+            blocks = _remember(self._tails, (m, delta), [None] * -(-m // _BLOCK))
+        return blocks
 
 
 # The largest sieve built in this process; ArithTable replaces it only with a
@@ -142,7 +163,7 @@ class ArithTable:
     none depends on the limit: spf, mu and the primes are facts about k, and
     the multiplicative tables below multiply k's prime factors in ascending
     order at any limit, so a view has the bits of a table built at its own
-    limit.  The held sieve and the base vectors of its last ``_BASE_MEMO``
+    limit.  The held sieve and the base vectors of its last ``_MEMO``
     deltas stay resident after the callers' tables are gone (at 3e6, 17 MB
     of sieve and 24 MB per vector); a delta new to it costs one base vector
     at the held size, however small the table asking.  The arrays are
@@ -231,11 +252,34 @@ def y_k_bruteforce(table: ArithTable, k: int, p: MollifierParams) -> complex:
     return pref * total
 
 
-# Entries per block of the tail sums in s_sums.  2**17 is the smallest power
-# of two that holds the whole tail (n_lo, M] at M = 1e5, so every pinned sum
-# and every printed residual is one block: the same numpy sums, bit for bit,
-# as one pass over the whole tail.  A larger M moves only in the last bits.
+# Entries per block of the tail sums in s_sums; block j holds the k in
+# (j 2**17, (j + 1) 2**17].  2**17 is the smallest power of two that holds
+# the whole tail (n_lo, M] at M = 1e5, so every pinned sum and every printed
+# residual is one block: the same numpy sums, bit for bit, as one pass over
+# the whole tail.  A larger M moves only in the last bits.
 _BLOCK = 1 << 17
+
+
+def _tail_block(
+    base: np.ndarray, m: int, lo: int, hi: int, z: float, buf: np.ndarray
+) -> tuple[float, float, float, float]:
+    """The sums over lo <= k < hi of b, b lg, b lg lg and b (lg - z)^2, with
+    b = base[k] and lg = log(m / k), in one new buffer of logs and the
+    caller's buffer ``buf`` for the products.  Each in-place step is the
+    operation that ``b * lg * lg`` and ``b * (lg - z) ** 2`` take on
+    temporaries, so the sums have their bits."""
+    b = base[lo:hi]
+    lg = np.arange(lo, hi, dtype=float)
+    np.divide(float(m), lg, out=lg)
+    np.log(lg, out=lg)
+    prod = np.multiply(b, lg, out=buf[: hi - lo])
+    h1 = float(np.sum(prod))
+    prod *= lg
+    h2 = float(np.sum(prod))
+    np.subtract(lg, z, out=prod)
+    np.square(prod, out=prod)
+    prod *= b
+    return float(np.sum(b)), h1, h2, float(np.sum(prod))
 
 
 class SSums(NamedTuple):
@@ -259,9 +303,15 @@ def s_sums(table: ArithTable, p: MollifierParams) -> SSums:
     this point.
 
     The sums over the tapered range M^a < k <= M are taken block by block,
-    ``_BLOCK`` entries at a time, and the block sums are added in order; no
-    temporary is longer than a block.  For M <= 2**17 the tail is one block
-    and the arithmetic is that of one pass over the whole tail.
+    at the fixed edges of ``_BLOCK``, and the block sums are added in order;
+    no temporary is longer than a block.  For M <= 2**17 the tail is one
+    block and the arithmetic is that of one pass over the whole tail.  Only
+    the first block, from floor(M^a) + 1 to the next edge, depends on a;
+    every later block's sums depend on (M, delta) alone, and the held sieve
+    keeps them for its last ``_MEMO`` pairs, as long as it is held.  A query
+    at a pair the sieve has seen sums its prefix and first block, sums any
+    block still missing, and adds the kept sums in the same order, so it
+    gets the bits of a query that sums every block.
     """
     M, a, d = p.M, p.a, p.delta
     table.check_n(M)
@@ -273,15 +323,22 @@ def s_sums(table: ArithTable, p: MollifierParams) -> SSums:
     z = zeta_p / zeta
 
     low_sum = float(np.sum(base[1 : n_lo + 1]))
-    h0 = h1 = h2 = hz = 0.0
-    for lo in range(n_lo + 1, M + 1, _BLOCK):
-        hi = min(lo + _BLOCK, M + 1)
-        b = base[lo:hi]
-        lg = np.log(float(M) / np.arange(lo, hi, dtype=float))
-        h0 += float(np.sum(b))
-        h1 += float(np.sum(b * lg))
-        h2 += float(np.sum(b * lg * lg))
-        hz += float(np.sum(b * (lg - z) ** 2))
+    first = min((n_lo // _BLOCK + 1) * _BLOCK, M)
+    # One product buffer per call: a new one per block read 1.7 MB more peak
+    # RSS on the mollifier benchmark, a heap layout step (BENCH_27.json).
+    buf = np.empty(min(_BLOCK, M - n_lo))
+    h0, h1, h2, hz = _tail_block(base, M, n_lo + 1, first + 1, z, buf)
+    if first < M:
+        blocks = table._sieve.tail_blocks(M, d)
+        for j in range(first // _BLOCK, len(blocks)):
+            if blocks[j] is None:
+                lo = j * _BLOCK + 1
+                blocks[j] = _tail_block(base, M, lo, min(lo + _BLOCK, M + 1), z, buf)
+            s0, s1, s2, sz = blocks[j]
+            h0 += s0
+            h1 += s1
+            h2 += s2
+            hz += sz
 
     L2 = cap_l * cap_l
     s_full = (low_sum + hz / L2) / zeta
@@ -315,8 +372,8 @@ def truncated_zeta_check(table: ArithTable, m_prime: float, delta: float) -> flo
         raise ValueError("M' must not be an integer")
     kmax = int(math.floor(m_prime))
     table.check_n(kmax)
+    z, _ = zeta_vals(delta)  # rejects delta before a base vector is built
     partial = float(np.sum(table.base_vector(delta)[: kmax + 1]))
-    z, _ = zeta_vals(delta)
     return abs(partial - (z - m_prime ** (-2.0 * delta) / (2.0 * delta)))
 
 

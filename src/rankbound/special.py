@@ -99,8 +99,6 @@ def exp_e_by_quadrature(x: float, tol: float = 1e-12) -> float:
         raise ValueError("E(x) diverges for x < 0")
 
     def g(u: float) -> float:
-        if u <= 0.0:
-            return 0.0 if x > 0.0 else 1.0
         return math.exp(-x / u)
 
     return integrate(g, IntegrationDomain(0.0, 1.0), tol).value
@@ -116,8 +114,6 @@ def exp_e1_by_quadrature(x: float) -> float:
         raise ValueError("E1 requires x > 0")
 
     def g(v: float) -> float:
-        if v <= 0.0:
-            return 0.0
         return math.exp(-x / v) / v
 
     return integrate(g, IntegrationDomain(0.0, 1.0), _E1_QUAD_TOL).value

@@ -402,11 +402,25 @@ def big_table():
     return ArithTable(1_000_000)
 
 
-# 300,000 and 10^6 span 3 and 8 blocks; at 262,656 = 2^18 + 512 and a = 1/2
-# the tail is exactly two full blocks.
-@pytest.mark.parametrize("M", [300_000, 1_000_000, 262_656])
-@pytest.mark.parametrize("a, delta", [(0.3, 0.02), (0.5, 0.05), (0.7, 0.1)])
+# Blocks end at multiples of 2^17 = 131,072.  300,000 and 10^6 span 3 and 8
+# blocks, the last one short.  At 262,656 = 2^18 + 512 and a = 1/2 the tail
+# runs from 513 through a short first block, one full block and a last block
+# of 512 entries.  2^17 + 1 ends in a block of one entry, and 2^18 in a full
+# block.  a = None stands for the a at which floor(M^a) is 2^18, so the
+# first block of the tail is a full one.
+@pytest.mark.parametrize(
+    "a, delta, M",
+    [
+        (a, delta, M)
+        for M in (300_000, 1_000_000, 262_656, 2**17 + 1, 2**18)
+        for a, delta in ((0.3, 0.02), (0.5, 0.05), (0.7, 0.1))
+    ]
+    + [(None, 0.05, 1_000_000)],
+)
 def test_streamed_s_sums_match_whole_tail(big_table, M, a, delta):
+    if a is None:
+        a = math.log(2**18 + 0.5) / math.log(M)
+        assert math.floor(float(M) ** a) == 2**18
     p = MollifierParams(M, a, delta)
     got = s_sums(big_table, p)
     for g, w in zip(got, _s_sums_whole(big_table, p)):
@@ -414,18 +428,45 @@ def test_streamed_s_sums_match_whole_tail(big_table, M, a, delta):
     assert abs(got.S - (got.S1 + got.S2 + got.S3)) <= 1e-12
 
 
-def test_s_sums_memory_stays_at_block_size(big_table):
-    # The taper temporaries are a block long (1 MiB each), not M long:
-    # one pass over the whole tail peaks at 15 MiB here.
+def test_s_sums_memory_stays_at_block_size(big_table, monkeypatch):
+    # The taper sums use two buffers a block long (1 MiB each), not M long:
+    # one pass over the whole tail peaks at 15 MiB here.  The memo is
+    # cleared so that every block is summed.
     p = MollifierParams(1_000_000, 0.3, 0.05)
     big_table.base_vector(p.delta)
+    monkeypatch.setattr(big_table._sieve, "_tails", {})
     tracemalloc.start()
     try:
         s_sums(big_table, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 3 * 2**20
+
+
+def test_s_sums_memo_keeps_the_bits(big_table, monkeypatch):
+    # A second a at the same (M, delta) adds the first query's block sums;
+    # it gets the bits of a query that sums every block itself.
+    M, d = 1_000_000, 0.05
+    monkeypatch.setattr(big_table._sieve, "_tails", {})
+    s_sums(big_table, MollifierParams(M, 0.3, d))
+    blocks = big_table._sieve._tails[M, d]
+    assert None not in blocks[1:]
+    warm = s_sums(big_table, MollifierParams(M, 0.6, d))
+    assert big_table._sieve._tails[M, d] is blocks
+    monkeypatch.setattr(big_table._sieve, "_tails", {})
+    cold = s_sums(big_table, MollifierParams(M, 0.6, d))
+    assert [v.hex() for v in warm] == [v.hex() for v in cold]
+
+
+def test_s_sums_memo_is_bounded(big_table, monkeypatch):
+    # The memo is keyed on the callers' (M, delta): a fifth pair evicts the
+    # oldest, and the last four stay.
+    monkeypatch.setattr(big_table._sieve, "_tails", {})
+    pairs = [(M, d) for M in (200_000, 300_000, 400_000) for d in (0.05, 0.1)][:5]
+    for M, d in pairs:
+        s_sums(big_table, MollifierParams(M, 0.5, d))
+    assert list(big_table._sieve._tails) == pairs[1:]
 
 
 def test_s_sums_independent_of_t(table):
@@ -452,6 +493,16 @@ def test_truncated_zeta_identity(table):
     assert resid <= 10.0 * scale
     with pytest.raises(ValueError):
         truncated_zeta_check(table, 5000.0, 0.05)  # integer M' excluded
+
+
+def test_truncated_zeta_check_rejects_delta_before_building(table):
+    # A delta that zeta_vals rejects builds no base vector and evicts none.
+    table.base_vector(0.05)
+    keys = list(table._sieve._bases)
+    for bad in (1.5, 0.0, math.nan):
+        with pytest.raises(ValueError):
+            truncated_zeta_check(table, 5000.5, bad)
+    assert list(table._sieve._bases) == keys
 
 
 def test_zeta_values():
