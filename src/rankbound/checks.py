@@ -112,8 +112,12 @@ def lemma6_sweep(cases, tol: float, n: int | None = None) -> tuple[float, list[i
     its box (x > sigma', t1 < y < t2), the zeros lemma6_check's left side
     sums over.  Without ``n`` every case is checked and a rejected one raises;
     with ``n`` the cases lemma6_check rejects (ValueError) are skipped until n
-    have been checked.
+    have been checked.  tol is checked first: lemma6_check would raise the
+    integrator's ValueError for a bad one at every case, and the sweep would
+    skip them all.
     """
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
     resids: list[float] = []
     counts: list[int] = []
     for h, box in cases:

@@ -8,16 +8,19 @@ the identity (and hence the detector inequality derived from it) is coded
 correctly.  detector_weight and shrunk_box give the normalized counting
 weight of a detected zero and the inner box on which it is at least 1.
 
-lemma6_check keeps no memo: per box it computes the values its integration
-variable leaves fixed once (2 cos(rate t1), 2 cos(rate t2) and
-c0 exp(-rate sigma')), and per ray node c0 exp(-rate beta) once for both rays.
+lemma6_check keeps no memo.  Its two integrands are panel functions: the
+integrator hands each a split's nodes as one list, and the loop over the
+nodes runs inside the integrand.  Per box they compute the values their
+integration variable leaves fixed once (2 cos(rate t1), 2 cos(rate t2) and
+c0 exp(-rate sigma')), and per ray node c0 exp(-rate beta) once for both
+rays.  Both call _log_abs, the one formula for log|h|, at every node.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .quadrature import IntegrationDomain, integrate
+from .quadrature import IntegrationDomain, integrate_array
 
 __all__ = [
     "SyntheticH",
@@ -134,8 +137,11 @@ def lemma6_check(h: SyntheticH, box: DetectorBox, tol: float = 1e-9) -> tuple[fl
 
     # Up the segment x = sigma' is fixed, so c0 exp(-rate sigma') is too.
     w_seg = c0 * math.exp(-rate * sp)
-    seg = integrate(
-        lambda t: math.sin(math.pi * (t - t1) / w) * _log_abs(w_seg, 2.0 * math.cos(rate * t)),
+    seg = integrate_array(
+        lambda ts: [
+            math.sin(math.pi * (t - t1) / w) * _log_abs(w_seg, 2.0 * math.cos(rate * t))
+            for t in ts
+        ],
         IntegrationDomain(t1, t2),
         tol,
         breakpoints=[by for _, by in nearby if t1 < by < t2],
@@ -160,30 +166,34 @@ def lemma6_check(h: SyntheticH, box: DetectorBox, tol: float = 1e-9) -> tuple[fl
     two_cos1, two_cos2 = 2.0 * cos1, 2.0 * cos2
     cos_sum = cos1 + cos2
 
-    def ray_integrand(beta: float) -> float:
-        arg = math.pi * (beta - sp) / w
-        if arg <= 0.0:
-            return 0.0
-        logs = log_c0 - rate * beta
-        if logs > -300.0:
-            wb = c0 * math.exp(-rate * beta)
-            la = _log_abs(wb, two_cos1) + _log_abs(wb, two_cos2)
-            if la == 0.0:
-                return 0.0
-            if arg < 700.0:
-                return math.sinh(arg) * la
-            # sinh ~ exp/2 here; keep the product in log space
-            return math.copysign(math.exp(arg + math.log(0.5 * abs(la))), la)
-        if cos_sum == 0.0:
-            return 0.0
-        log_sinh = arg - math.log(2.0) if arg > 40.0 else math.log(math.sinh(arg))
-        log_mag = log_sinh + logs + math.log(abs(cos_sum))
-        if log_mag < -740.0:
-            return 0.0
-        return -math.copysign(math.exp(log_mag), cos_sum)
+    def ray_panel(betas: list[float]) -> list[float]:
+        out = []
+        for beta in betas:
+            arg = math.pi * (beta - sp) / w
+            logs = log_c0 - rate * beta
+            if arg <= 0.0:
+                y = 0.0
+            elif logs > -300.0:
+                wb = c0 * math.exp(-rate * beta)
+                la = _log_abs(wb, two_cos1) + _log_abs(wb, two_cos2)
+                if la == 0.0:
+                    y = 0.0
+                elif arg < 700.0:
+                    y = math.sinh(arg) * la
+                else:
+                    # sinh ~ exp/2 here; keep the product in log space
+                    y = math.copysign(math.exp(arg + math.log(0.5 * abs(la))), la)
+            elif cos_sum == 0.0:
+                y = 0.0
+            else:
+                log_sinh = arg - math.log(2.0) if arg > 40.0 else math.log(math.sinh(arg))
+                log_mag = log_sinh + logs + math.log(abs(cos_sum))
+                y = 0.0 if log_mag < -740.0 else -math.copysign(math.exp(log_mag), cos_sum)
+            out.append(y)
+        return out
 
     ray_cuts = [x0] if sp < x0 < hi else []
-    rays = integrate(ray_integrand, IntegrationDomain(sp, hi), tol, breakpoints=ray_cuts).value
+    rays = integrate_array(ray_panel, IntegrationDomain(sp, hi), tol, breakpoints=ray_cuts).value
 
     rhs = seg + rays
     return (lhs, rhs, abs(lhs - rhs))

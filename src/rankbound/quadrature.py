@@ -3,27 +3,31 @@
 Every adaptive integral in the package funnels through one loop and one
 panel rule, the classical 15-point Kronrod extension of 7-point Gauss,
 applied adaptively by splitting the current worst panel.  The rule is a
-fixed weighted sum of a panel's 15 values; the three entry points differ
-only in how those values are produced.  :func:`integrate` calls a scalar
-integrand node by node, on an interval or a ray.  :func:`integrate_array`
-hands the 15 nodes to a panel integrand at once, as a list (finite domains
-only; the two give the same bits on integrands that agree element by
-element).  :func:`integrate_measure_with_err` integrates against a
-:class:`Measure`, a piecewise smooth density plus point masses: the
-density's breakpoints are the loop's first cuts and the loop only bisects,
-so every panel lies inside one gap, and the gap's piece is picked once per
-panel.  The loop gives up as soon as failure is certain: the panels frozen
-at the width floor carry more error than the tolerance, the error sum has
-stalled at the rounding level (no new minimum over a fixed run of splits),
-the interval budget runs out, or the running error sum met the tolerance
-but its exact sum does not.
+fixed weighted sum of a panel's 15 values, and the loop asks for values a
+split at a time: one call takes the nodes of all the first panels, and one
+call each split the nodes of both halves.  The worst panel is split first
+whatever a call holds, so the panels, and every bit of the result, are
+those of one panel per call.  The three entry points differ only in how the
+values are produced.  :func:`integrate` calls a scalar integrand node by
+node, on an interval or a ray.  :func:`integrate_array` hands a call's
+nodes to a panel integrand at once, as a list (finite domains only; the two
+give the same bits on integrands that agree element by element).
+:func:`integrate_measure_with_err` integrates against a :class:`Measure`, a
+piecewise smooth density plus point masses: the density's breakpoints are
+the loop's first cuts and the loop only bisects, so every panel lies inside
+one gap, and the gap's piece is picked once per panel.  The loop gives up
+as soon as failure is certain: the panels frozen at the width floor carry
+more error than the tolerance, the error sum has stalled at the rounding
+level (no new minimum over a fixed run of splits), the interval budget runs
+out, or the running error sum met the tolerance but its exact sum does not.
 
 Only :func:`integrate_measure_with_err` takes a panel memo: a dict, kept by
 the caller for one (integrand, measure) pair, from a panel's endpoints to
 the rule's (value, error).  The loop splits the worst panel first, so the
 panels of a loose tol are a prefix of those of a tight one (QUADPACK,
 Piessens et al. 1983), and a second call at another tol recomputes only
-the panels it has not seen.  A hit gives the same two doubles, so the
+the panels it has not seen: a call's hits come from the memo, and only
+its misses reach the integrand.  A hit gives the same two doubles, so the
 result is the memo-free one bit for bit.
 
 The 15-node layout is ``GK15_X`` and ``GK15_W``; testfn's composite rule
@@ -169,29 +173,46 @@ class IntegrationDomain:
             raise ValueError("need hi > lo")
 
 
-def _gk15(panel: Callable[[list[float]], list[float]], a: float, b: float) -> tuple[float, float]:
-    """One Kronrod panel: (integral estimate, |Kronrod - Gauss| error).
+def _gk15(
+    panel: Callable[[list[float]], list[float]], spans: Sequence[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """Kronrod panels: (integral estimate, |Kronrod - Gauss| error) per span (a, b).
 
-    This is the only panel rule.  ``panel`` maps the 15 nodes c + h x_j,
-    ascending, to their 15 values in one call; the entry points differ only
-    in how it evaluates them.  The sum takes the centre first, then the pairs
-    j and 14 - j.
+    This is the only panel rule.  ``panel`` maps the spans' nodes, 15 per
+    span in span order, each span's c + h x_j ascending, to their values in
+    one call; the entry points differ only in how it evaluates them.  Each
+    span's sums run left to right: the centre first, then the pairs
+    v_j + v_(14 - j) for j = 0, ..., 6 (the odd j alone for Gauss).  They
+    are written out, not looped, because every panel of every integral runs
+    them.
     """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    v = panel([c + h * x for x in GK15_X])
-    kron = GK15_W[7] * v[7]
-    gauss = _GAUSS_W[3] * v[7]
-    for j in range(7):
-        pair = v[j] + v[14 - j]
-        kron += GK15_W[j] * pair
-        if j % 2 == 1:
-            gauss += _GAUSS_W[j // 2] * pair
-    return kron * h, abs(kron - gauss) * h
+    xs = []
+    for a, b in spans:
+        c = 0.5 * (a + b)
+        h = 0.5 * (b - a)
+        xs += [c + h * x for x in GK15_X]
+    vs = panel(xs)
+    k0, k1, k2, k3, k4, k5, k6, k7 = _KRONROD_W
+    g0, g1, g2, g3 = _GAUSS_W
+    out = []
+    for i, (a, b) in enumerate(spans):
+        v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14 = vs[15 * i : 15 * i + 15]
+        p1, p3, p5 = v1 + v13, v3 + v11, v5 + v9
+        kron = (
+            k7 * v7 + k0 * (v0 + v14) + k1 * p1 + k2 * (v2 + v12)
+            + k3 * p3 + k4 * (v4 + v10) + k5 * p5 + k6 * (v6 + v8)
+        )
+        gauss = g3 * v7 + g0 * p1 + g1 * p3 + g2 * p5
+        h = 0.5 * (b - a)
+        out.append((kron * h, abs(kron - gauss) * h))
+    return out
 
 
-def _finite(xs: list[float], ys: list) -> list[float]:
-    # One C-level pass per panel; on failure, name the leftmost bad node.
+def _finite(xs: list[float], ys) -> list[float]:
+    # One C-level pass per call; on failure, name the leftmost bad node.  A
+    # wrong count would shift every later span's values, so it is refused.
+    if len(ys) != len(xs):
+        raise ValueError(f"panel integrand returned {len(ys)} values for {len(xs)} nodes")
     if not all(map(math.isfinite, ys)):
         i = next(i for i, y in enumerate(ys) if not math.isfinite(y))
         raise EvaluationError(xs[i], ys[i])
@@ -199,17 +220,18 @@ def _finite(xs: list[float], ys: list) -> list[float]:
 
 
 def _memoized(memo: dict) -> Callable:
-    # _gk15 behind a dict from a panel's endpoints to its (value, error).
-    # Each pair is packed in a complex, which holds two doubles bit for bit
-    # in 32 bytes, where a tuple of two floats takes about 100.
-    def rule(panel, a: float, b: float) -> tuple[float, float]:
-        key = complex(a, b)
-        hit = memo.get(key)
-        if hit is None:
-            v, e = _gk15(panel, a, b)
-            memo[key] = complex(v, e)
-            return v, e
-        return hit.real, hit.imag
+    # _gk15 behind a dict from a panel's endpoints to its (value, error):
+    # the spans the dict lacks go to one _gk15 call, and every answer is read
+    # back from the dict.  Each pair is packed in a complex, which holds two
+    # doubles bit for bit in 32 bytes, where a tuple of two floats takes
+    # about 100.
+    def rule(panel, spans: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+        keys = [complex(a, b) for a, b in spans]
+        misses = [span for span, key in zip(spans, keys) if key not in memo]
+        if misses:
+            for (a, b), (v, e) in zip(misses, _gk15(panel, misses)):
+                memo[complex(a, b)] = complex(v, e)
+        return [(memo[key].real, memo[key].imag) for key in keys]
 
     return rule
 
@@ -217,8 +239,9 @@ def _memoized(memo: dict) -> Callable:
 def _adaptive(
     panel, lo: float, hi: float, tol: float, cuts: Sequence[float], memo: dict | None = None
 ) -> QuadResult:
-    # panel maps a panel's 15 nodes to their values; see _gk15.  memo, if
-    # given, must belong to this one integrand.
+    # panel maps the nodes of one or more panels to their values; see
+    # _gk15.  The first panels go in one call, and so do the two halves of
+    # each split.  memo, if given, must belong to this one integrand.
     if tol <= 0.0 or math.isnan(tol):
         raise ValueError("tolerance must be positive")
     rule = _gk15 if memo is None else _memoized(memo)
@@ -230,8 +253,8 @@ def _adaptive(
 
     heap = []  # entries: (-err, tiebreak, a, b, value, err)
     live_err = 0.0
-    for serial, (a, b) in enumerate(zip(edges, edges[1:])):
-        v, e = rule(panel, a, b)
+    spans = list(zip(edges, edges[1:]))
+    for serial, ((a, b), (v, e)) in enumerate(zip(spans, rule(panel, spans))):
         heapq.heappush(heap, (-e, serial, a, b, v, e))
         live_err += e
     serial = n_intervals = len(heap)
@@ -256,8 +279,7 @@ def _adaptive(
             frozen_err += e
             continue
         m = 0.5 * (a + b)
-        v1, e1 = rule(panel, a, m)
-        v2, e2 = rule(panel, m, b)
+        (v1, e1), (v2, e2) = rule(panel, [(a, m), (m, b)])
         n_evals += 30
         n_intervals += 1
         heapq.heappush(heap, (-e1, serial, a, m, v1, e1))
@@ -315,8 +337,9 @@ def integrate(
             # t = lo - log(1 - u) sends (0, 1) onto (lo, inf).  Deep
             # subdivision against a slowly decaying integrand can round a
             # node to u = 1 exactly; that is t = inf, where anything this
-            # map is valid for sits below the truncation threshold.  Nodes
-            # ascend, so such nodes end the panel.
+            # map is valid for sits below the truncation threshold.  A call
+            # holds adjacent panels in order, so its nodes ascend across
+            # them too, and a u >= 1 node can only end the call.
             ts = [lo - math.log1p(-u) for u in us if u < 1.0]
             fts = _finite(ts, list(map(f, ts)))
             out = [0.0 if abs(ft) < _TRUNCATE_BELOW else ft / (1.0 - u) for u, ft in zip(us, fts)]
@@ -336,12 +359,15 @@ def integrate_array(
     tol: float = DEFAULT_TOL,
     breakpoints: Sequence[float] = (),
 ) -> QuadResult:
-    """:func:`integrate` for an integrand that maps a panel's 15 nodes, as a list, to 15 values.
+    """:func:`integrate` for an integrand that maps a list of nodes to as many values.
 
-    ``fv`` is called once per panel.  Panels, sums and stopping rules are
-    those of :func:`integrate`, so an ``fv`` that agrees element by element
-    with a scalar integrand gives the same result bit for bit.  Only finite
-    domains are taken.
+    ``fv`` is called once per split: first with the 15 nodes of every first
+    panel, then with the 30 of each split's two halves, ascending within
+    each panel (and across a call's panels, short of the width floor).  It
+    must return one value per node; a wrong count raises ``ValueError``.
+    Panels, sums and stopping rules are those of :func:`integrate`, so an
+    ``fv`` that agrees element by element with a scalar integrand gives the
+    same result bit for bit.  Only finite domains are taken.
     """
     if math.isinf(domain.hi):
         raise ValueError("integrate_array needs a finite domain")
@@ -418,8 +444,11 @@ def integrate_measure_with_err(
     bp, pieces = m.density.breakpoints, m.density.pieces
 
     def panel(xs: list[float]) -> list[float]:
-        piece = pieces[bisect.bisect_right(bp, xs[7]) - 1]
-        return _finite(xs, [h(x) * piece(x) for x in xs])
+        ys = []
+        for i in range(0, len(xs), 15):
+            piece = pieces[bisect.bisect_right(bp, xs[i + 7]) - 1]
+            ys += [h(x) * piece(x) for x in xs[i : i + 15]]
+        return _finite(xs, ys)
 
     res = _adaptive(panel, bp[0], bp[-1], tol, bp[1:-1], memo)
     total = res.value

@@ -73,26 +73,22 @@ def _ramp(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mid, ym, 1.0 / (1.0 + np.exp(z))
 
 
-def _g_core(e: float, x: np.ndarray) -> np.ndarray:
-    # The bump: 1 on [-1/2, 1/2], smooth ramps down to 0 at 1/2 + e.  out
-    # comes before the ramp's temporaries: in the other order the peak RSS
-    # of the positivity scan at eps = 0.05 is 10 MB higher.
+def _g_core(e: float, x: np.ndarray, deriv: bool = False):
+    # The bump: 1 on [-1/2, 1/2], smooth ramps down to 0 at 1/2 + e.  With
+    # deriv, the pair (g, g') from the one ramp; g' is nonzero only on the
+    # two ramps.  g comes before the ramp's temporaries: in the other order
+    # the peak RSS of the positivity scan at eps = 0.05 is 10 MB higher.
     y = (0.5 + e - np.abs(x)) / e
-    out = np.zeros_like(y)
-    out[y >= 1.0] = 1.0
-    mid, _, s = _ramp(y)
-    out[mid] = s
-    return out
-
-
-def _gp_core(e: float, x: np.ndarray) -> np.ndarray:
-    # d/dx of the bump: nonzero only on the two ramps.
-    y = (0.5 + e - np.abs(x)) / e
-    out = np.zeros_like(x)
+    g = np.zeros_like(y)
+    g[y >= 1.0] = 1.0
     mid, ym, s = _ramp(y)
+    g[mid] = s
+    if not deriv:
+        return g
+    gp = np.zeros_like(x)
     rp = 1.0 / (1.0 - ym) ** 2 + 1.0 / ym**2
-    out[mid] = s * (1.0 - s) * rp * (-np.sign(x[mid])) / e
-    return out
+    gp[mid] = s * (1.0 - s) * rp * (-np.sign(x[mid])) / e
+    return g, gp
 
 
 class _ConvTable:
@@ -117,13 +113,14 @@ class _ConvTable:
         half = 0.5 + e
         n_panels = max(24, int(math.ceil(2.0 * half / (e / 6.0))))
         t, w = composite_gk15(-half, half, n_panels)
-        wg = w * _g_core(e, t)
+        g, gp = _g_core(e, t, deriv=True)
+        wg = w * g
         self.t = t
         self.cum = np.concatenate(([0.0], np.cumsum(wg)))
         self.width = int(np.max(np.searchsorted(t, t + e, side="right") - np.arange(t.size)))
         self.tpad = np.pad(t, self.width, mode="edge")
         self.wg = np.pad(wg, self.width)
-        self.wgp = np.pad(w * _gp_core(e, t), self.width)
+        self.wgp = np.pad(w * gp, self.width)
         self.run = np.arange(self.width)
         self.norm = float(self.convs(np.array([0.0]), 0)[0][0])
 
@@ -142,9 +139,12 @@ class _ConvTable:
         idx = np.concatenate((lo[:, None] + self.run, hi[:, None] + self.width + self.run), axis=1)
         d = x[:, None] - self.tpad[idx]
         wg = self.wg[idx]
-        out = [self.cum[hi] - self.cum[lo] + (_g_core(self.eps, d) * wg).sum(axis=1)]
+        if order == 0:
+            g = _g_core(self.eps, d)
+        else:
+            g, gp = _g_core(self.eps, d, deriv=True)
+        out = [self.cum[hi] - self.cum[lo] + (g * wg).sum(axis=1)]
         if order >= 1:
-            gp = _gp_core(self.eps, d)
             out.append((gp * wg).sum(axis=1))
             if order == 2:
                 out.append((gp * self.wgp[idx]).sum(axis=1))
@@ -225,8 +225,9 @@ def finite_eps_functional(eps, order: int, h: Callable[[float], float]) -> float
 
     The absolute value has kinks wherever the derivative changes sign, at
     locations that drift with eps, so this stays on the adaptive path rather
-    than the fixed-rule one.  Each panel's 15 nodes go to phi_eps_deriv as
-    one array; h is called node by node.
+    than the fixed-rule one.  The integrator evaluates a split at a time:
+    the nodes of the first panels, then of both halves of each split, go to
+    phi_eps_deriv as one array; h is called node by node.
     """
     e = _eps_of(eps)
     half = 1.0 + 2.0 * e

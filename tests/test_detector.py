@@ -2,6 +2,7 @@
 is exact, so every case has a closed-form left side to check against."""
 
 import cmath
+import itertools
 import math
 
 import pytest
@@ -140,6 +141,16 @@ def test_random_family_covers_zero_counts():
     assert len(counts) == 50
     assert worst < 1e-6
     assert set(counts) == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+def test_sweep_rejects_bad_tol(tol):
+    # The integrator's bad-tol ValueError is the one lemma6_check raises for
+    # a rejected case, so a sweep with n would skip every case: a finite
+    # list gave a clean (0.0, []), an endless one ran on.
+    cases = itertools.islice(checks.random_detector_cases(0), 200)
+    with pytest.raises(ValueError, match="tolerance"):
+        checks.lemma6_sweep(cases, tol, n=50)
 
 
 # lemma6_check's (lhs, rhs, residual) at tol 1e-9, as float.hex.

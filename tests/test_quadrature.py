@@ -1,6 +1,8 @@
 """Adaptive Gauss-Kronrod integrator: accuracy, error paths, measures."""
 
+import bisect
 import hashlib
+import heapq
 import math
 import time
 
@@ -117,6 +119,109 @@ def test_integrate_array_matches_integrate():
         integrate_array(fv, IntegrationDomain(0.0))
     with pytest.raises(ValueError, match="tolerance"):
         integrate_array(fv, dom, tol=0.0)
+
+
+@pytest.mark.parametrize("count", [14, 16])
+def test_panel_integrand_value_count_is_checked(count):
+    # One call carries several panels, so a wrong count would shift every
+    # later panel's values; it must be refused, naming both counts.
+    with pytest.raises(ValueError, match=f"returned {count} values for 15 nodes"):
+        integrate_array(lambda xs: [1.0] * count, IntegrationDomain(0.0, 1.0))
+
+
+def _literal(panel, lo, hi, tol, cuts):
+    # The loop in its one-panel-per-call shape: each first panel, then each
+    # half of a split, is its own call of the rule.  The budget and stall
+    # exits are left out; the integrands drawn below never reach them.
+    rule = lambda a, b: q._gk15(panel, [(a, b)])[0]
+    edges = [lo] + [b for b in sorted(set(cuts)) if lo < b < hi] + [hi]
+    heap, live, frozen, n = [], 0.0, [], 0
+    for serial, (a, b) in enumerate(zip(edges, edges[1:])):
+        v, e = rule(a, b)
+        heapq.heappush(heap, (-e, serial, a, b, v, e))
+        live, n = live + e, n + 15
+    serial = len(heap)
+    while heap and sum(e for _, e in frozen) <= tol < live + sum(e for _, e in frozen):
+        _, _, a, b, v, e = heapq.heappop(heap)
+        live -= e
+        if (b - a) < q._WIDTH_FLOOR * max(1.0, abs(a), abs(b)):
+            frozen.append((v, e))
+            continue
+        m = 0.5 * (a + b)
+        (v1, e1), (v2, e2) = rule(a, m), rule(m, b)
+        heapq.heappush(heap, (-e1, serial, a, m, v1, e1))
+        heapq.heappush(heap, (-e2, serial + 1, m, b, v2, e2))
+        serial, live, n = serial + 2, live + e1 + e2, n + 30
+    parts = [item[4:] for item in heap] + frozen
+    return math.fsum(v for v, _ in parts).hex(), math.fsum(e for _, e in parts).hex(), n
+
+
+@given(
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+    st.floats(0.5, 6.0),
+    st.floats(-0.9, 1.9),
+    st.lists(st.floats(-1.0, 2.0), max_size=3),
+    st.sampled_from([1e-6, 1e-9, 1e-11]),
+)
+@settings(max_examples=30, deadline=None)
+def test_batched_panels_match_one_panel_per_call(c, freq, kink, cuts, tol):
+    # A second path for the batching: every entry point must give the bits
+    # and the evaluation count of the literal loop, one panel per call.
+    f = lambda x: _poly(c, x) * math.cos(freq * x) + abs(x - kink)
+    fv = lambda xs: [f(x) for x in xs]
+    want = _literal(fv, -1.0, 2.0, tol, cuts)
+    dom = IntegrationDomain(-1.0, 2.0)
+    assert _pin(integrate(f, dom, tol, cuts)) == want
+
+    calls = []
+
+    def recorded(xs):
+        calls.append(xs)
+        return fv(xs)
+
+    assert _pin(integrate_array(recorded, dom, tol, cuts)) == want
+    first = len({b for b in cuts if -1.0 < b < 2.0}) + 1
+    assert len(calls[0]) == 15 * first
+    assert all(len(xs) == 30 for xs in calls[1:])
+    assert all(x <= y for xs in calls for x, y in zip(xs, xs[1:]))
+
+    # A ray with breakpoints: the same loop on the mapped integrand in u.
+    rate, lo = 1.0 + freq / 3.0, kink
+    g = lambda t: math.exp(-rate * (t - lo)) * (c[0] + abs(t - kink - 1.0))
+
+    def mapped(us):
+        ft = [g(lo - math.log1p(-u)) if u < 1.0 else 0.0 for u in us]
+        return [0.0 if abs(y) < 1e-300 else y / (1.0 - u) for u, y in zip(us, ft)]
+
+    ray_cuts = [b for b in cuts if b > lo] + [kink + 1.0]
+    ray = integrate(g, IntegrationDomain(lo), tol, ray_cuts)
+    assert _pin(ray) == _literal(mapped, 0.0, 1.0, tol, [-math.expm1(-(b - lo)) for b in ray_cuts])
+
+    # A measure, cold and with a warm memo: the density's breakpoints are
+    # the first cuts, and each panel takes the piece of its centre node.
+    bp = (-1.0, min(max(kink, -0.5), 0.5), 1.0)
+    pieces = (lambda x: 1.0 + x * x, lambda x: math.cos(freq * x) + 2.0)
+    m = Measure(PiecewiseSmoothFn(bp, pieces, (False, True, False)))
+    nodes = []
+
+    def h(x):
+        nodes.append(x)
+        return f(x)
+
+    def density_panel(xs):
+        piece = pieces[bisect.bisect_right(bp, xs[7]) - 1]
+        return [f(x) * piece(x) for x in xs]
+
+    want = _literal(density_panel, bp[0], bp[-1], tol, bp[1:-1])
+    cold = integrate_measure_with_err(h, m, tol, {})
+    assert (cold[0].hex(), cold[1].hex(), len(nodes)) == want
+    memo = {}
+    loose = _literal(density_panel, bp[0], bp[-1], 1e-4, bp[1:-1])
+    integrate_measure_with_err(h, m, 1e-4, memo)
+    nodes.clear()
+    warm = integrate_measure_with_err(h, m, tol, memo)
+    assert (warm[0].hex(), warm[1].hex()) == want[:2]
+    assert len(nodes) == want[2] - loose[2]
 
 
 def _pin(r):

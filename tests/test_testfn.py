@@ -80,8 +80,8 @@ def _dense_convs(e, x):
     # The sums the ramp windows replace: every table node against every x.
     half = 0.5 + e
     t, w = composite_gk15(-half, half, testfn._table(e).t.size // 15)
-    g, gp = testfn._g_core(e, x[:, None] - t), testfn._gp_core(e, x[:, None] - t)
-    wg, wgp = w * testfn._g_core(e, t), w * testfn._gp_core(e, t)
+    g, gp = testfn._g_core(e, x[:, None] - t, deriv=True)
+    wg, wgp = (w * v for v in testfn._g_core(e, t, deriv=True))
     return [g @ wg, gp @ wg, gp @ wgp]
 
 
@@ -306,7 +306,9 @@ def test_finite_eps_approaches_limit():
     assert errs[1] < errs[0]
 
 
-def test_finite_eps_one_call_per_panel(monkeypatch):
+def test_finite_eps_one_call_per_split(monkeypatch):
+    # The six first panels (cut at 0, +-1/2 and +-1) go in one call, then
+    # both halves of each split.
     sizes = []
     inner = testfn.phi_eps_deriv
 
@@ -316,4 +318,4 @@ def test_finite_eps_one_call_per_panel(monkeypatch):
 
     monkeypatch.setattr(testfn, "phi_eps_deriv", counted)
     assert finite_eps_functional(0.1, 1, lambda x: 1.0) == pytest.approx(2.0, abs=1e-7)
-    assert len(sizes) > 5 and set(sizes) == {15}
+    assert len(sizes) > 5 and sizes[0] == 6 * 15 and set(sizes[1:]) == {30}
