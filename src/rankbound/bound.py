@@ -13,12 +13,16 @@ across deltas: a scan at a new delta over a values already visited at the
 same tol costs no new kernel integral.  Both caches are bounded; the G
 cache holds a whole headline benchmark run.  At a new tol, G_psi reuses the
 kernel panels it computed at that a before (see :mod:`rankbound.kernels`).
+
+A :class:`BoundReport` is one evaluation: the point (a, delta), the pieces
+H is assembled from, and H.  It is a named tuple, immutable and built
+positionally; its ``_asdict()`` gives the CLI's JSON keys in field order.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels, limits
 
@@ -31,8 +35,7 @@ SERIES_TAIL = math.pi * math.pi / 6.0 - 1.25
 MAX_GRID_POINTS = 100_000
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     a: float
     delta: float
     phi0_hat0: float
@@ -86,17 +89,7 @@ def h_of_a(a: float, delta: float, tol: float = 1e-10) -> BoundReport:
     h_val = 0.5 + (1.0 / phi0_hat0) * (1.0 / (a * delta) + pref * bracket)
     if not math.isfinite(h_val):
         raise ArithmeticError(f"H({a!r}, {delta!r}) = {h_val!r} is not finite")
-    return BoundReport(
-        a=a,
-        delta=delta,
-        phi0_hat0=phi0_hat0,
-        g_phi_1=g0_one,
-        g_phi_a=g0_a,
-        g_phi2_1=g2_one,
-        g_phi2_a=g2_a,
-        bracket=bracket,
-        H=h_val,
-    )
+    return BoundReport(a, delta, phi0_hat0, g0_one, g0_a, g2_one, g2_a, bracket, h_val)
 
 
 def grid_reports(

@@ -113,7 +113,19 @@ def _json(v, pad: str = "\n") -> str:
     Floats print as the repr of the rounded value (NaN, Infinity, -Infinity
     when not finite), keys as json.dumps escapes them, ints, bools, None and
     strings through json.dumps, and empty containers as {} and [].
+
+    A float whose ``.12g`` text has a "." and no "e" prints as that text,
+    which is already the repr of the rounded value: it has at most 12
+    significant digits, which a double gives back as its shortest repr; the
+    "." means a nonzero fraction, since ``.12g`` strips trailing zeros; and
+    ``.12g`` writes fixed notation only for decimal exponents in [-4, 12),
+    where repr does too.  Every other float (integral values, -0, exponents
+    from 12 on or below -4, nan and inf) and every float subclass takes the
+    conversion.  A dict writes its float values by the same test inline,
+    without a call per value.
     """
+    if type(v) is float and "." in (s := f"{v:.12g}") and "e" not in s:
+        return s
     if isinstance(v, float):
         r = repr(float(f"{v:.12g}"))
         return _JSON_NONFINITE.get(r, r)
@@ -121,13 +133,19 @@ def _json(v, pad: str = "\n") -> str:
         if not v:
             return "{}"
         inner = pad + "  "
-        items = (encode_basestring_ascii(k) + ": " + _json(x, inner) for k, x in v.items())
+        items = [
+            encode_basestring_ascii(k) + ": " + (
+                s if type(x) is float and "." in (s := f"{x:.12g}") and "e" not in s
+                else _json(x, inner)
+            )
+            for k, x in v.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
         inner = pad + "  "
-        return "[" + inner + ("," + inner).join(_json(x, inner) for x in v) + pad + "]"
+        return "[" + inner + ("," + inner).join([_json(x, inner) for x in v]) + pad + "]"
     return json.dumps(v)
 
 
@@ -166,7 +184,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    obj = dict(vars(bound.h_of_a(args.a, args.delta, args.tol)))
+    obj = bound.h_of_a(args.a, args.delta, args.tol)._asdict()
     if args.fmt == "table":  # one row per field
         _emit(args.fmt, ["field", "value"], list(obj.items()), obj)
     else:
@@ -184,7 +202,7 @@ def cmd_scan(args) -> int:
     obj = {
         "delta": args.delta,
         "rows": [dict(zip(headers, row)) for row in rows],
-        "minimizer": {**vars(best), "slack_to_6_5": slack},
+        "minimizer": {**best._asdict(), "slack_to_6_5": slack},
     }
     rows.append(row_of(best))
     footer = (

@@ -8,9 +8,10 @@ and i_pm gives the closed forms of the normalized one-sided tails.
 Memos: ``_panels`` keeps, per (a, psi), the Kronrod panels of G_psi's
 kernel integral, so G_psi at a second tol evaluates K only on panels the
 first did not visit (and at psi's atoms); ``_edges`` keeps K's edge values
-per a, sized with it.  ``_big_f1`` and ``_big_k1`` keep F(1, u) per u and
-K(1, x) per x, the a-free halves of verify_lemma1.  G_psi's transform
-factor comes from the (measure, s, tol) memo in limits.
+per a and ``_f_half`` keeps F(a, 1/2) per a, G_psi's coefficient at every
+psi and tol, both sized with it.  ``_big_f1`` and ``_big_k1`` keep F(1, u)
+per u and K(1, x) per x, the a-free halves of verify_lemma1.  G_psi's
+transform factor comes from the (measure, s, tol) memo in limits.
 """
 from __future__ import annotations
 
@@ -84,8 +85,8 @@ def _ratio_taylor(z0: float, e0: float, d: float) -> float:
     return n1 + 0.5 * d * n2
 
 
-# Entries of the memos keyed on a: _edges holds this many a, _panels this
-# many (a, psi) pairs.  A headline benchmark run asks G_psi at about 520 a,
+# Entries of the memos keyed on a: _edges and _f_half hold this many a,
+# _panels this many (a, psi) pairs.  A headline benchmark run asks G_psi at about 520 a,
 # each at two measures, and the panels of one pair take a few hundred bytes.
 _A_MEMO = 4096
 
@@ -127,6 +128,12 @@ def big_k(a: float, x: float) -> float:
     return (2.0 / _C) * (ez + t2 - t3)
 
 
+# Like _big_f1 below, it looks big_f up at call time.
+@functools.lru_cache(maxsize=_A_MEMO)
+def _f_half(a: float) -> float:
+    return big_f(a, 0.5)
+
+
 @functools.lru_cache(maxsize=_A_MEMO)
 def _panels(a: float, psi: Measure) -> dict:
     # The kernel integrand of g_psi depends on (a, psi), not on tol.
@@ -150,7 +157,7 @@ def g_psi(a: float, psi: Measure, tol: float = DEFAULT_TOL) -> tuple[float, floa
     ker, ker_err = integrate_measure_with_err(
         lambda x: x * big_k(a, x) * math.exp(0.5 * x), psi, tol, _panels(a, psi)
     )
-    f_half = big_f(a, 0.5)
+    f_half = _f_half(a)
     # The transform's error is folded in at the same tol scale as its integral.
     return f_half * hat_smooth + ker, abs(f_half) * tol + ker_err
 

@@ -42,6 +42,8 @@ def test_report_is_internally_consistent():
     assert rep.H == pytest.approx(h, abs=1e-12)
     assert rep.g_phi_1 > rep.g_phi_a > 0.0
     assert rep.g_phi2_1 > rep.g_phi2_a > 0.0
+    with pytest.raises(AttributeError):
+        rep.H = 0.0
 
 
 def test_g_cache_ignores_delta(monkeypatch):
@@ -77,7 +79,9 @@ def test_memos_are_bounded():
         for obj in vars(mod).values():
             if callable(getattr(obj, "cache_parameters", None)):
                 memos[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_parameters()["maxsize"]
-    assert {"rankbound.bound._g_pair", "rankbound.kernels._panels"} <= set(memos)
+    assert {
+        "rankbound.bound._g_pair", "rankbound.kernels._panels", "rankbound.kernels._f_half"
+    } <= set(memos)
     assert {name for name, size in memos.items() if size is None} <= UNBOUNDED_MEMOS
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import rankbound
-from rankbound import bound, cli, detector, special
+from rankbound import bound, cli, detector, kernels, special
 from rankbound.cli import main
 
 CONSTANT_KEYS = [
@@ -122,6 +122,25 @@ def test_scan_builds_coarse_grid_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "scan", "--format", "json")
     assert code == 0 and json.loads(out)["minimizer"]["a"] == 0.483
     assert len(calls) == 62
+
+
+def test_scan_computes_f_half_once_per_a(capsys, monkeypatch):
+    # 59 distinct a (41 coarse, 21 fine, 3 shared) and the a = 1 row; each
+    # a needs F(a, 1/2) once for both measures.  The G caches are emptied
+    # so that every G value is computed here.
+    calls = []
+    big_f = kernels.big_f
+
+    def counting(a, u):
+        calls.append((a, u))
+        return big_f(a, u)
+
+    bound._g_pair.cache_clear()
+    kernels._f_half.cache_clear()
+    monkeypatch.setattr(kernels, "big_f", counting)
+    code, out, _ = run(capsys, "scan", "--format", "json")
+    assert code == 0 and json.loads(out)["minimizer"]["a"] == 0.483
+    assert len(calls) == 60 and len(set(calls)) == 60
 
 
 def test_scan_grid_past_one_fails_before_any_work(capsys, monkeypatch):
@@ -536,6 +555,29 @@ def test_json_writer_matches_json_dumps(obj):
     with contextlib.redirect_stdout(buf):
         cli._emit("json", [], [], obj)
     assert buf.getvalue() == json.dumps(_round12(obj), indent=2) + "\n"
+
+
+_NONFINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_FLOAT_TEXT_CASES = [
+    float(f"{sign}{m}e{x}")
+    for x in range(-324, 309)
+    for m in ("1", "1.5", "1.23456789012", "9.999999999995")
+    for sign in ("", "-")
+] + [
+    0.0, -0.0, 3.0, 1e11, 1e12, 123456789012.0, 1e15, 1e16, 5e-324,
+    1.7976931348623157e308, math.nan, math.inf, -math.inf,
+]
+
+
+def test_float_text_at_every_exponent():
+    # The writer skips the second conversion for some floats; it must give
+    # the converted text at every decimal exponent, the band from 1e12 to
+    # 1e16 where .12g and repr choose different notations included, and in
+    # a dict, where floats are written inline.
+    for v in _FLOAT_TEXT_CASES:
+        r = repr(float(f"{v:.12g}"))
+        want = _NONFINITE_TEXT.get(r, r)
+        assert (cli._json(v), cli._json({"v": v})) == (want, '{\n  "v": ' + want + "\n}"), v
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

@@ -245,6 +245,32 @@ def test_positivity_fold_matches_full_line_scan(e):
     assert check_positivity(e) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("e", [0.02, 0.05, 0.0833, 0.1, 0.12, 0.15])
+def test_positivity_sigma_1_row_is_bump_transform_squared(e):
+    # phi_eps cosh = (g * g) / N, so the scan's sigma = 1 row, the cosine
+    # transform of phi_eps cosh, is ghat(tau)^2 / N with ghat the bump's own
+    # cosine transform.  The row takes the scan's node layout; ghat takes the
+    # same panel width on the bump's half support.
+    u = 2.0**-52
+    width = min(e / 6.0, math.pi / 84.0)
+    hi = 1.0 + 2.0 * e
+    x, w = composite_gk15(0.0, hi, int(math.ceil(hi / width)))
+    wf = 2.0 * w * phi_eps_deriv(e, x, 0) * np.cosh(x)
+    cos_x = np.cos(x[:, None] * testfn._TAUS)
+    row = wf @ cos_x
+    t, wt = composite_gk15(0.0, 0.5 + e, int(math.ceil((0.5 + e) / width)))
+    wg = 2.0 * wt * testfn._g_core(e, t)
+    cos_t = np.cos(t[:, None] * testfn._TAUS)
+    ghat = wg @ cos_t
+    norm = testfn._table(e).norm
+    # A sum of n rounded terms errs by at most n 2^-52 times the sum of the
+    # terms' absolute values; squaring doubles ghat's relative error.
+    row_err = x.size * u * (np.abs(wf) @ np.abs(cos_x))
+    ghat_err = t.size * u * (np.abs(wg) @ np.abs(cos_t))
+    bound = row_err + 2.0 * np.abs(ghat) * ghat_err / norm
+    assert np.all(np.abs(row - ghat * ghat / norm) <= bound)
+
+
 @pytest.mark.parametrize("e", [0.02, 0.05, 0.15, 0.25])
 def test_phi_eps_is_even(e):
     # The positivity scan folds phi_eps onto x >= 0; this is what allows it.
