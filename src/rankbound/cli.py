@@ -121,8 +121,7 @@ def _json(v, pad: str = "\n") -> str:
     ``.12g`` writes fixed notation only for decimal exponents in [-4, 12),
     where repr does too.  Every other float (integral values, -0, exponents
     from 12 on or below -4, nan and inf) and every float subclass takes the
-    conversion.  A dict writes its float values by the same test inline,
-    without a call per value.
+    conversion.
     """
     if type(v) is float and "." in (s := f"{v:.12g}") and "e" not in s:
         return s
@@ -133,13 +132,7 @@ def _json(v, pad: str = "\n") -> str:
         if not v:
             return "{}"
         inner = pad + "  "
-        items = [
-            encode_basestring_ascii(k) + ": " + (
-                s if type(x) is float and "." in (s := f"{x:.12g}") and "e" not in s
-                else _json(x, inner)
-            )
-            for k, x in v.items()
-        ]
+        items = [encode_basestring_ascii(k) + ": " + _json(x, inner) for k, x in v.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(v, (list, tuple)):
         if not v:
