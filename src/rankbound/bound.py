@@ -59,8 +59,8 @@ _PHI0_MEMO = 64
 @functools.lru_cache(maxsize=_G_PAIR_MEMO)
 def _g_pair(a: float, tol: float) -> tuple[float, float]:
     return (
-        kernels.g_psi(a, limits.limit_measure(0), tol)[0],
-        kernels.g_psi(a, limits.limit_measure(2), tol)[0],
+        kernels.g_psi(a, limits.limit_measure(0), tol).value,
+        kernels.g_psi(a, limits.limit_measure(2), tol).value,
     )
 
 

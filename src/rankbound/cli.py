@@ -164,10 +164,11 @@ def _emit(fmt: str, headers: list[str], rows: list, obj: dict, footer: str = "")
 
 
 def cmd_constants(args) -> int:
-    hat0, hat0_err = integrate_measure_with_err(lambda x: 1.0, limits.limit_measure(0), args.tol)
-    entries = [("phi0_hat_0", hat0, hat0_err), ("c", kernels.c_const(), 0.0)]
+    hat0 = integrate_measure_with_err(lambda x: 1.0, limits.limit_measure(0), args.tol)
+    entries = [("phi0_hat_0", hat0.value, hat0.err_estimate), ("c", kernels.c_const(), 0.0)]
     for order, name in enumerate(("G_abs_phi_1", "G_abs_dphi_1", "G_abs_d2phi_1")):
-        entries.append((name, *kernels.g_psi(1.0, limits.limit_measure(order), args.tol)))
+        g = kernels.g_psi(1.0, limits.limit_measure(order), args.tol)
+        entries.append((name, g.value, g.err_estimate))
     obj = {}
     for name, val, err in entries:
         obj[name] = val

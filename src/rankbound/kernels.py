@@ -23,6 +23,7 @@ from .quadrature import (
     DEFAULT_TOL,
     IntegrationDomain,
     Measure,
+    QuadResult,
     integrate,
     integrate_measure,
     integrate_measure_with_err,
@@ -140,10 +141,10 @@ def _panels(a: float, psi: Measure) -> dict:
     return {}
 
 
-def g_psi(a: float, psi: Measure, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+def g_psi(a: float, psi: Measure, tol: float = DEFAULT_TOL) -> QuadResult:
     """G_psi(a) = F(a, 1/2) * (transform of the smooth part of psi at 1)
     plus the integral of x K(a, x) exp(x/2) against all of psi, with its
-    error estimate: the pair (value, err_estimate).
+    error estimate; ``n_evals`` counts the evaluations of that integral.
 
     The transform factor deliberately sees only the density of psi, never its
     point masses; the kernel integral sees both.  The limit functionals this
@@ -154,12 +155,13 @@ def g_psi(a: float, psi: Measure, tol: float = DEFAULT_TOL) -> tuple[float, floa
     if not 0.0 < a <= 1.0:
         raise ValueError("need a in (0, 1]")
     hat_smooth = limits.laplace_density(psi, 1.0, tol)
-    ker, ker_err = integrate_measure_with_err(
+    ker = integrate_measure_with_err(
         lambda x: x * big_k(a, x) * math.exp(0.5 * x), psi, tol, _panels(a, psi)
     )
     f_half = _f_half(a)
     # The transform's error is folded in at the same tol scale as its integral.
-    return f_half * hat_smooth + ker, abs(f_half) * tol + ker_err
+    err = abs(f_half) * tol + ker.err_estimate
+    return QuadResult(f_half * hat_smooth + ker.value, err, ker.n_evals)
 
 
 # Lemma 1's a = 1 halves, memoized per argument.  Its integrals run the same

@@ -8,27 +8,27 @@ split at a time: one call takes the nodes of all the first panels, and one
 call each split the nodes of both halves.  The worst panel is split first
 whatever a call holds, so the panels, and every bit of the result, are
 those of one panel per call.  The three entry points differ only in how the
-values are produced.  :func:`integrate` calls a scalar integrand node by
-node, on an interval or a ray.  :func:`integrate_array` hands a call's
-nodes to a panel integrand at once, as a list (finite domains only; the two
-give the same bits on integrands that agree element by element).
+values are produced, and each returns a :class:`QuadResult`: the value, its
+error estimate and ``n_evals``, the count of values summed.
+:func:`integrate` calls a scalar integrand node by node, on an interval or
+a ray.  :func:`integrate_array` hands a call's nodes to a panel integrand
+at once, as a list (finite domains only; the two give the same bits on
+integrands that agree element by element).
 :func:`integrate_measure_with_err` integrates against a :class:`Measure`, a
 piecewise smooth density plus point masses: the density's breakpoints are
 the loop's first cuts and the loop only bisects, so every panel lies inside
-one gap, and the gap's piece is picked once per panel.  The loop gives up
-as soon as failure is certain: the panels frozen at the width floor carry
-more error than the tolerance, the error sum has stalled at the rounding
-level (no new minimum over a fixed run of splits), the interval budget runs
-out, or the running error sum met the tolerance but its exact sum does not.
+one gap, and the gap's piece is picked once per panel.  Its ``n_evals`` is
+15 per panel plus one per atom.  The loop gives up as soon as failure is
+certain, for one of the four reasons that :class:`ConvergenceError` names.
 
 Only :func:`integrate_measure_with_err` takes a panel memo: a dict, kept by
 the caller for one (integrand, measure) pair, from a panel's endpoints to
 the rule's (value, error).  The loop splits the worst panel first, so the
 panels of a loose tol are a prefix of those of a tight one (QUADPACK,
-Piessens et al. 1983), and a second call at another tol recomputes only
-the panels it has not seen: a call's hits come from the memo, and only
-its misses reach the integrand.  A hit gives the same two doubles, so the
-result is the memo-free one bit for bit.
+Piessens et al. 1983), and a second call at another tol recomputes only the
+panels it has not seen: a call's hits come from the memo, and only its
+misses reach the integrand.  A hit gives the same two doubles and counts in
+``n_evals`` as a miss does, so the result is the memo-free one bit for bit.
 
 The 15-node layout is ``GK15_X`` and ``GK15_W``; testfn's composite rule
 lays it on fixed equal panels.  The module is scalar and imports no numpy.
@@ -156,7 +156,7 @@ class ConvergenceError(QuadratureError):
 class QuadResult:
     value: float
     err_estimate: float
-    n_evals: int = 0
+    n_evals: int
 
 
 @dataclass(frozen=True)
@@ -430,16 +430,16 @@ def integrate_measure_with_err(
     m: Measure,
     tol: float = DEFAULT_TOL,
     memo: dict | None = None,
-) -> tuple[float, float]:
-    """Integral of ``h`` against ``m`` with the quadrature error estimate.
+) -> QuadResult:
+    """Integral of ``h`` against ``m``, atoms included, with its error estimate.
 
-    Atoms contribute exactly (no error).  Each panel lies in one gap of the
-    density, and the gap's piece is picked from the panel's centre node,
-    which the width floor keeps strictly inside the gap.  The rule is
+    Atoms add ``mass * h(loc)`` exactly, with no error; a non-finite
+    ``h(loc)`` raises :class:`EvaluationError`.  Each panel lies in one gap
+    of the density, and the gap's piece is picked from the panel's centre
+    node, which the width floor keeps strictly inside the gap.  The rule is
     one-sided: a node that rounds onto the panel's own edge, a breakpoint,
     takes the piece of the gap the panel lies in, not its neighbour's.
-    ``memo`` is the panel memo of the module docstring; it belongs to one
-    (h, m) pair.
+    ``memo`` is the panel memo of the module docstring, for one (h, m) pair.
     """
     bp, pieces = m.density.breakpoints, m.density.pieces
 
@@ -450,12 +450,14 @@ def integrate_measure_with_err(
             ys += [h(x) * piece(x) for x in xs[i : i + 15]]
         return _finite(xs, ys)
 
+    h_atoms = _finite([loc for loc, _ in m.atoms], [h(loc) for loc, _ in m.atoms])
     res = _adaptive(panel, bp[0], bp[-1], tol, bp[1:-1], memo)
     total = res.value
-    for loc, mass in m.atoms:
-        total += mass * h(loc)
-    return total, res.err_estimate
+    for (_, mass), h_loc in zip(m.atoms, h_atoms):
+        total += mass * h_loc
+    return QuadResult(total, res.err_estimate, res.n_evals + len(h_atoms))
 
 
 def integrate_measure(h: Callable[[float], float], m: Measure, tol: float = DEFAULT_TOL) -> float:
-    return integrate_measure_with_err(h, m, tol)[0]
+    """The value alone of :func:`integrate_measure_with_err`."""
+    return integrate_measure_with_err(h, m, tol).value

@@ -16,7 +16,7 @@ from rankbound.kernels import (
     verify_lemma1,
 )
 from rankbound.limits import limit_measure
-from rankbound.quadrature import IntegrationDomain, integrate
+from rankbound.quadrature import IntegrationDomain, integrate, integrate_measure_with_err
 
 C_CONST = 11.0280277174132199103129240176
 
@@ -124,7 +124,7 @@ def test_k_exact_bits():
 
 def test_g_exact_bits():
     for order, want in G_HEX_048.items():
-        assert g_psi(0.48, limit_measure(order), 1e-10)[0].hex() == want
+        assert g_psi(0.48, limit_measure(order), 1e-10).value.hex() == want
 
 
 def test_k_one_e_call_per_node(monkeypatch):
@@ -152,20 +152,22 @@ def test_k_one_e_call_per_node(monkeypatch):
 def test_g_panel_memo_keeps_bits(monkeypatch):
     # Cold single calls, each with a fresh memo, against calls that share
     # the per-(a, psi) panel memo across tols, tightest first and loosest
-    # first.  At 1e-13 the order-1 integral splits panels that the looser
-    # tols never visit.
+    # first: the value, the error and the evaluation count all hold, since
+    # a memo hit counts as an evaluation.  At 1e-13 the order-1 integral
+    # splits panels that the looser tols never visit.
     tols = (1e-13, 1e-10, 1e-8)
     cases = [(a, order) for a in (0.48, 1.0) for order in (0, 1, 2)]
 
-    def hexes(a, order, tol):
-        return tuple(v.hex() for v in g_psi(a, limit_measure(order), tol))
+    def pin(a, order, tol):
+        r = g_psi(a, limit_measure(order), tol)
+        return r.value.hex(), r.err_estimate.hex(), r.n_evals
 
     with monkeypatch.context() as m:
         m.setattr(kernels, "_panels", lambda a, psi: {})
-        cold = {(a, order, tol): hexes(a, order, tol) for a, order in cases for tol in tols}
+        cold = {(a, order, tol): pin(a, order, tol) for a, order in cases for tol in tols}
     for sequence in (tols, tols[::-1]):
         kernels._panels.cache_clear()
-        warm = {(a, order, tol): hexes(a, order, tol) for tol in sequence for a, order in cases}
+        warm = {(a, order, tol): pin(a, order, tol) for tol in sequence for a, order in cases}
         assert warm == cold
 
 
@@ -227,13 +229,21 @@ def test_k_smooth_across_taylor_window():
 
 def test_g_frozen_values():
     for (a, order), want in G_AT.items():
-        assert g_psi(a, limit_measure(order))[0] == pytest.approx(want, abs=1e-9)
+        assert g_psi(a, limit_measure(order)).value == pytest.approx(want, abs=1e-9)
 
 
 def test_g_with_error_estimate():
-    val, err = g_psi(1.0, limit_measure(0))
-    assert err >= 0.0
-    assert abs(val - G_AT[(1.0, 0)]) <= max(1e-9, 10.0 * err)
+    r = g_psi(1.0, limit_measure(0))
+    assert r.err_estimate >= 0.0
+    assert abs(r.value - G_AT[(1.0, 0)]) <= max(1e-9, 10.0 * r.err_estimate)
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_g_n_evals_is_its_kernel_integral_count(order):
+    psi = limit_measure(order)
+    kernel = lambda x: x * big_k(0.48, x) * math.exp(0.5 * x)
+    want = integrate_measure_with_err(kernel, psi, 1e-10).n_evals
+    assert g_psi(0.48, psi, 1e-10).n_evals == want
 
 
 def test_g_domain():

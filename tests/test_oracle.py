@@ -127,7 +127,7 @@ def test_constants():
         "phi0_hat_0": limits.laplace(limits.limit_measure(0), 0.0),
         "c": kernels.c_const(),
         **{
-            name: kernels.g_psi(1.0, limits.limit_measure(order))[0]
+            name: kernels.g_psi(1.0, limits.limit_measure(order)).value
             for order, name in enumerate(("G_abs_phi_1", "G_abs_dphi_1", "G_abs_d2phi_1"))
         },
     }

@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 import rankbound.quadrature as q
 from rankbound import limits
+from rankbound.kernels import g_psi
 from rankbound.quadrature import (
     ConvergenceError,
     EvaluationError,
     IntegrationDomain,
     Measure,
     PiecewiseSmoothFn,
+    QuadResult,
     integrate,
     integrate_array,
     integrate_measure_with_err,
@@ -214,13 +216,13 @@ def test_batched_panels_match_one_panel_per_call(c, freq, kink, cuts, tol):
 
     want = _literal(density_panel, bp[0], bp[-1], tol, bp[1:-1])
     cold = integrate_measure_with_err(h, m, tol, {})
-    assert (cold[0].hex(), cold[1].hex(), len(nodes)) == want
+    assert (cold.value.hex(), cold.err_estimate.hex(), len(nodes)) == want
     memo = {}
     loose = _literal(density_panel, bp[0], bp[-1], 1e-4, bp[1:-1])
     integrate_measure_with_err(h, m, 1e-4, memo)
     nodes.clear()
     warm = integrate_measure_with_err(h, m, tol, memo)
-    assert (warm[0].hex(), warm[1].hex()) == want[:2]
+    assert (warm.value.hex(), warm.err_estimate.hex()) == want[:2]
     assert len(nodes) == want[2] - loose[2]
 
 
@@ -413,7 +415,7 @@ def test_piecewise_fn_routing():
         (0.0, 1.0, 3.0), (recorded(0, math.exp), recorded(1, math.cos)), (False, False, False)
     )
     assert d.support == (0.0, 3.0)
-    val, _ = integrate_measure_with_err(lambda x: x, Measure(d), tol=1e-14)
+    val = integrate_measure_with_err(lambda x: x, Measure(d), tol=1e-14).value
     exact = 1.0 + 3.0 * math.sin(3.0) + math.cos(3.0) - math.sin(1.0) - math.cos(1.0)
     assert val == pytest.approx(exact, abs=1e-14)
     assert seen[0] and all(0.0 <= x <= 1.0 for x in seen[0])
@@ -432,7 +434,51 @@ def test_density_plus_atom():
     # tent against e^x gives e + 1/e - 2; the atom at 0 adds its mass
     m = Measure(_tent(), ((0.0, 2.0),))
     exact = math.e + 1.0 / math.e - 2.0 + 2.0
-    val, err = integrate_measure_with_err(math.exp, m, tol=1e-12)
-    assert val == pytest.approx(exact, abs=1e-11)
-    assert err >= 0.0
-    assert abs(val - exact) <= max(1e-11, 10.0 * err)
+    r = integrate_measure_with_err(math.exp, m, tol=1e-12)
+    assert r.value == pytest.approx(exact, abs=1e-11)
+    assert r.err_estimate >= 0.0
+    assert abs(r.value - exact) <= max(1e-11, 10.0 * r.err_estimate)
+
+
+def test_every_integral_returns_a_quadresult():
+    # One record of an integral everywhere: value, error estimate and
+    # evaluation count, with no bare tuple to unpack or index.
+    dom = IntegrationDomain(0.0, 1.0)
+    results = [
+        integrate(math.exp, dom),
+        integrate_array(lambda xs: [math.exp(x) for x in xs], dom),
+        integrate_measure_with_err(math.exp, Measure(_tent(), ((0.0, 2.0),))),
+        g_psi(0.48, limits.limit_measure(2)),
+    ]
+    for r in results:
+        assert type(r) is QuadResult
+        assert r.n_evals >= 15
+        with pytest.raises(TypeError):
+            tuple(r)
+
+
+def test_measure_n_evals_counts_each_atom_once():
+    # The order-2 limit measure's three atoms add one evaluation each to the
+    # count of its density alone, and their terms, in order, to its value.
+    m = limits.limit_measure(2)
+    h = lambda x: x * math.exp(0.5 * x)
+    free = integrate_measure_with_err(h, Measure(m.density), 1e-12)
+    full = integrate_measure_with_err(h, m, 1e-12)
+    assert len(m.atoms) == 3
+    # The four first panels and the halves of two splits: 8 panels of 15 nodes.
+    assert (free.n_evals, full.n_evals) == (120, 123)
+    want = free.value
+    for loc, mass in m.atoms:
+        want += mass * h(loc)
+    assert (full.value, full.err_estimate) == (want, free.err_estimate)
+
+
+@pytest.mark.parametrize("loc, bad", [(0.0, math.nan), (1.0, math.inf)])
+def test_non_finite_value_at_an_atom_raises(loc, bad):
+    # No panel node lies on these atoms (0 is a breakpoint of the tent and 1
+    # the end of its support), so only the atoms' own check can see them.
+    m = Measure(_tent(), ((0.0, 2.0), (1.0, 0.5)))
+    with pytest.raises(EvaluationError) as exc:
+        integrate_measure_with_err(lambda x: bad if x == loc else math.exp(x), m)
+    assert exc.value.abscissa == loc
+    assert not math.isfinite(exc.value.value)

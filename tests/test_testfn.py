@@ -271,6 +271,28 @@ def test_positivity_sigma_1_row_is_bump_transform_squared(e):
     assert np.all(np.abs(row - ghat * ghat / norm) <= bound)
 
 
+def test_positivity_kernel_k_sigma():
+    # For |sigma| < 1, Re of phi_eps's transform at sigma + i tau is
+    # (ghat^2 * k_sigma)(tau) / (2 pi N), where k_sigma is the cosine
+    # transform of cosh(sigma x) / cosh x: a classical Fourier pair whose
+    # closed form is positive, so the scan's true minimum is >= 0 on the
+    # whole strip.  This checks the closed form against mpmath at 20 digits:
+    # quadosc sums the integral between zeros of cos(tau x) and extrapolates.
+    mpmath = pytest.importorskip("mpmath", reason="the 20-digit path needs mpmath (the test extra)")
+    mp = mpmath.MPContext()
+    mp.dps = 20
+    for sigma, tau in [(0.0, 0.0), (0.5, 0.7), (0.8, 6.0), (-0.3, 11.4), (-0.5, 17.4)]:
+        k = (
+            2.0 * math.pi * math.cos(0.5 * math.pi * sigma) * math.cosh(0.5 * math.pi * tau)
+            / (math.cos(math.pi * sigma) + math.cosh(math.pi * tau))
+        )
+        f = lambda x: mp.cosh(sigma * x) * mp.cos(tau * x) / mp.cosh(x)
+        ray = [0, mp.inf]
+        want = 2 * (mp.quad(f, ray) if tau < 1.0 else mp.quadosc(f, ray, omega=tau))
+        assert k > 0.0
+        assert k == pytest.approx(float(want), rel=1e-12, abs=0.0), (sigma, tau)
+
+
 @pytest.mark.parametrize("e", [0.02, 0.05, 0.15, 0.25])
 def test_phi_eps_is_even(e):
     # The positivity scan folds phi_eps onto x >= 0; this is what allows it.
