@@ -15,12 +15,16 @@ The H pipeline and the detector (special, quadrature, limits, kernels, bound
 and detector) are scalar and start without numpy, so `rankbound constants`,
 `bound`, `scan` and `verify --suite identities` or `detector` never load it.
 numpy is imported at the top of the two modules that build arrays, testfn
-and mollifier, and the package imports both on first access.
+and mollifier.  The package imports the H pipeline with itself, and
+detector, checks, testfn and mollifier on first access, so a cold
+`constants`, `bound` or `scan` loads neither numpy nor the verify-only
+modules.  Its records are namedtuples, or a plain class with slots, which
+are cheap to define at import.
 """
 
 import importlib
 
-from . import bound, detector, kernels, limits, quadrature, special
+from . import bound, kernels, limits, quadrature, special
 
 __version__ = "0.1.0"
 
@@ -40,10 +44,11 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # cli, checks, mollifier and testfn are imported on first access, not
-    # with the package: cli so that `python -m rankbound.cli` runs it once as
-    # __main__ without a warning, the others so that the package starts
+    # checks, cli, detector, mollifier and testfn are imported on first
+    # access, not with the package: cli so that `python -m rankbound.cli`
+    # runs it once as __main__ without a warning, checks and detector because
+    # only verify reads them, and the others so that the package starts
     # without numpy (tests/test_cli.py::test_scalar_commands_skip_numpy).
-    if name in ("checks", "cli", "mollifier", "testfn"):
+    if name in ("checks", "cli", "detector", "mollifier", "testfn"):
         return importlib.import_module("." + name, __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

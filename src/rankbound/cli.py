@@ -19,11 +19,12 @@ import operator
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import bound, checks, detector, kernels, limits
+from . import bound, kernels, limits
 from .quadrature import QuadratureError, integrate_measure_with_err
 
-# mollifier, and numpy with it, is imported in the mollifier suite alone, so
-# that constants, bound, scan and the other suites run without numpy
+# checks and detector are imported by verify alone, and mollifier, with
+# numpy, by its mollifier suite alone, so that constants, bound and scan
+# load none of them and the other suites run without numpy
 # (tests/test_cli.py::test_scalar_commands_skip_numpy).
 
 __all__ = ["main"]
@@ -219,6 +220,8 @@ _LEMMA1_TOL_FLOOR = 1e-11
 
 
 def _verify_rows(args) -> checks.CheckList:
+    from . import checks, detector
+
     out = checks.CheckList()
     if args.suite in ("identities", "all"):
         # The E-identity residual runs at about tol / 40, so like the lemma-1

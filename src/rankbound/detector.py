@@ -18,9 +18,9 @@ rays.  Both call _log_abs, the one formula for log|h|, at every node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .quadrature import IntegrationDomain, integrate_array
+from .quadrature import IntegrationDomain, _checked_make, integrate_array
 
 __all__ = [
     "SyntheticH",
@@ -45,18 +45,19 @@ def _log_abs(w: float, two_cos: float) -> float:
     return 0.5 * math.log1p(w * (w - two_cos))
 
 
-@dataclass(frozen=True)
-class SyntheticH:
+class SyntheticH(namedtuple("SyntheticH", "c0 rate")):
     """h(s) = 1 - c0 exp(-rate s): zeros on a vertical line, explicit decay."""
 
-    c0: float
-    rate: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.c0) or self.c0 < 0.0:
+    def __new__(cls, c0: float, rate: float):
+        if math.isnan(c0) or c0 < 0.0:
             raise ValueError("c0 must be nonnegative")
-        if math.isnan(self.rate) or self.rate <= 0.0:
+        if math.isnan(rate) or rate <= 0.0:
             raise ValueError("rate must be positive")
+        return tuple.__new__(cls, (c0, rate))
+
+    _make = _checked_make
 
     def zeros_in(self, t_lo: float, t_hi: float) -> list[tuple[float, float]]:
         """All zeros x0 + i y with t_lo <= y <= t_hi (x0 = log(c0)/rate)."""
@@ -69,17 +70,17 @@ class SyntheticH:
         return [(x0, k * step) for k in range(k_lo, k_hi + 1)]
 
 
-@dataclass(frozen=True)
-class DetectorBox:
+class DetectorBox(namedtuple("DetectorBox", "sigma_prime t1 t2")):
     """Right half-strip corner: sigma >= sigma_prime, t1 <= t <= t2."""
 
-    sigma_prime: float
-    t1: float
-    t2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.t2 > self.t1:
+    def __new__(cls, sigma_prime: float, t1: float, t2: float):
+        if not t2 > t1:
             raise ValueError("need t2 > t1")
+        return tuple.__new__(cls, (sigma_prime, t1, t2))
+
+    _make = _checked_make
 
     @property
     def width(self) -> float:

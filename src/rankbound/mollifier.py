@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
+
+from .quadrature import _checked_make
 
 __all__ = [
     "MollifierParams",
@@ -38,26 +40,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MollifierParams:
+class MollifierParams(namedtuple("MollifierParams", "M a delta t")):
     """Mollifier length M, cutoff exponent a, shift delta, and height t."""
 
-    M: int
-    a: float
-    delta: float
-    t: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, M: int, a: float, delta: float, t: float = 0.0):
         # M indexes the tables; a float M would fail only after the base
         # vector is built.  numpy ints are Integral too.
-        if not isinstance(self.M, numbers.Integral):
-            raise ValueError(f"M must be an integer, not {self.M!r}")
-        if self.M < 10:
+        if not isinstance(M, numbers.Integral):
+            raise ValueError(f"M must be an integer, not {M!r}")
+        if M < 10:
             raise ValueError("M must be at least 10")
-        if not 0.0 < self.a < 1.0:
+        if not 0.0 < a < 1.0:
             raise ValueError("a must lie in (0, 1)")
-        if not self.delta > 0.0:
+        if not delta > 0.0:
             raise ValueError("delta must be positive")
+        return tuple.__new__(cls, (M, a, delta, t))
+
+    _make = _checked_make
 
 
 # Base vectors the held sieve keeps, one per delta: the CLI uses 2 deltas,

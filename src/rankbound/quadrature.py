@@ -33,6 +33,12 @@ misses reach the integrand.  A hit gives the same two doubles and counts in
 The 15-node layout is ``GK15_X`` and ``GK15_W``; testfn's composite rule
 lays it on fixed equal panels.  The module is scalar and imports no numpy.
 
+The records are cheap to define at import and to build: :class:`QuadResult`
+is a plain read-only class with slots, which cannot be unpacked or indexed,
+and :class:`IntegrationDomain`, :class:`PiecewiseSmoothFn` and
+:class:`Measure` are namedtuples whose ``__new__`` checks the fields.  Each
+compares and hashes by its fields, so equal measures share memo entries.
+
 Semi-infinite domains are pulled back to (0, 1) with a logarithmic change
 of variable, which is accurate exactly when the integrand decays at least
 like exp(-t); integrands with slower decay must be rewritten by the caller
@@ -43,7 +49,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Sequence
 
 __all__ = [
@@ -152,25 +158,69 @@ class ConvergenceError(QuadratureError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
 class QuadResult:
-    value: float
-    err_estimate: float
-    n_evals: int
+    """One integral: its value, error estimate and count of values summed.
+
+    Read-only, equal and hashed by its three fields, and not a tuple: it
+    cannot be unpacked or indexed.
+    """
+
+    __slots__ = ("value", "err_estimate", "n_evals")
+
+    def __init__(self, value: float, err_estimate: float, n_evals: int) -> None:
+        _SET_VALUE(self, value)
+        _SET_ERR(self, err_estimate)
+        _SET_N(self, n_evals)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"QuadResult is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"QuadResult is read-only: cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return self.value, self.err_estimate, self.n_evals
+
+    def __eq__(self, other):
+        if type(other) is not QuadResult:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "QuadResult(value=%r, err_estimate=%r, n_evals=%r)" % self._key()
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by setting the slots.
+        return QuadResult, self._key()
 
 
-@dataclass(frozen=True)
-class IntegrationDomain:
+# The slots' own setters, which __init__ calls past the refusing __setattr__.
+_SET_VALUE = QuadResult.value.__set__
+_SET_ERR = QuadResult.err_estimate.__set__
+_SET_N = QuadResult.n_evals.__set__
+
+
+# The _make of every record: namedtuple's own, which _replace calls, would
+# build the record without the checks of its __new__.
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class IntegrationDomain(namedtuple("IntegrationDomain", "lo hi")):
     """Finite interval [lo, hi] or semi-infinite ray [lo, inf)."""
 
-    lo: float
-    hi: float = math.inf
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.lo):
+    def __new__(cls, lo: float, hi: float = math.inf):
+        if not math.isfinite(lo):
             raise ValueError("lower endpoint must be finite")
-        if math.isnan(self.hi) or not self.hi > self.lo:
+        if math.isnan(hi) or not hi > lo:
             raise ValueError("need hi > lo")
+        return tuple.__new__(cls, (lo, hi))
+
+    _make = _checked_make
 
 
 def _gk15(
@@ -374,8 +424,7 @@ def integrate_array(
     return _adaptive(lambda xs: _finite(xs, fv(xs)), domain.lo, domain.hi, tol, breakpoints)
 
 
-@dataclass(frozen=True)
-class PiecewiseSmoothFn:
+class PiecewiseSmoothFn(namedtuple("PiecewiseSmoothFn", "breakpoints pieces value_continuous")):
     """A compactly supported function, smooth between listed breakpoints.
 
     ``pieces[i]`` is the callable valid on (breakpoints[i], breakpoints[i+1]).
@@ -385,44 +434,51 @@ class PiecewiseSmoothFn:
     derivative-level kinks are expected and not tracked.
     """
 
-    breakpoints: tuple[float, ...]
-    pieces: tuple[Callable[[float], float], ...]
-    value_continuous: tuple[bool, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        bp = self.breakpoints
+    def __new__(
+        cls,
+        breakpoints: tuple[float, ...],
+        pieces: tuple[Callable[[float], float], ...],
+        value_continuous: tuple[bool, ...],
+    ):
+        bp = breakpoints
         if len(bp) < 2:
             raise ValueError("need at least two breakpoints")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if len(self.pieces) != len(bp) - 1:
+        if len(pieces) != len(bp) - 1:
             raise ValueError("need exactly one piece per gap")
-        if len(self.value_continuous) != len(bp):
+        if len(value_continuous) != len(bp):
             raise ValueError("need one continuity flag per breakpoint")
+        return tuple.__new__(cls, (breakpoints, pieces, value_continuous))
+
+    _make = _checked_make
 
     @property
     def support(self) -> tuple[float, float]:
         return self.breakpoints[0], self.breakpoints[-1]
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(namedtuple("Measure", "density atoms")):
     """Piecewise smooth density plus point masses.
 
     Atom masses are nonnegative, and atom locations must lie in the closure
     of the density's support.
     """
 
-    density: PiecewiseSmoothFn
-    atoms: tuple[tuple[float, float], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        lo, hi = self.density.support
-        for loc, mass in self.atoms:
+    def __new__(cls, density: PiecewiseSmoothFn, atoms: tuple[tuple[float, float], ...] = ()):
+        lo, hi = density.support
+        for loc, mass in atoms:
             if mass < 0.0:
                 raise ValueError("atom masses must be nonnegative")
             if not (lo - 1e-12 <= loc <= hi + 1e-12):
                 raise ValueError(f"atom at {loc} outside density support [{lo}, {hi}]")
+        return tuple.__new__(cls, (density, atoms))
+
+    _make = _checked_make
 
 
 def integrate_measure_with_err(

@@ -290,10 +290,11 @@ def _module_run(*argv: str) -> subprocess.CompletedProcess:
 
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
+mods = ("numpy", "rankbound.testfn", "rankbound.mollifier",
+        "dataclasses", "rankbound.detector", "rankbound.checks")
 import rankbound
 from rankbound import cli
-seen = []
-mods = ("numpy", "rankbound.testfn", "rankbound.mollifier")
+seen = [[None] + [m in sys.modules for m in mods]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv + ["--format", "json"])
@@ -305,19 +306,28 @@ print(json.dumps(seen))
 def test_scalar_commands_skip_numpy():
     # The H pipeline and the detector are scalar: the package and these
     # commands must not load numpy, nor testfn or mollifier, the two modules
-    # that import it.  The mollifier suite must load numpy and mollifier,
-    # which shows that the probe can tell the two apart.
-    scalar = [
-        ["constants"],
-        ["bound", "--a", "0.48", "--delta", "0.5"],
-        ["scan"],
-        ["verify", "--suite", "identities"],
-        ["verify", "--suite", "detector"],
-    ]
-    proc = _child("-c", _NUMPY_PROBE, json.dumps(scalar + [["verify", "--suite", "mollifier"]]))
+    # that import it.  The package holds no dataclass, and the detector and
+    # the checks are verify's alone, so the import and the three commands
+    # that compute H load neither them nor dataclasses.  One process runs
+    # the commands in turn, so a row shows what it and every earlier command
+    # loaded: the detector suite must load detector and checks, and the
+    # mollifier suite numpy and mollifier, which shows that the probe can
+    # tell each pair of cases apart.
+    h_commands = [["constants"], ["bound", "--a", "0.48", "--delta", "0.5"], ["scan"]]
+    verify = [["verify", "--suite", "detector"], ["verify", "--suite", "identities"]]
+    argvs = h_commands + verify + [["verify", "--suite", "mollifier"]]
+    proc = _child("-c", _NUMPY_PROBE, json.dumps(argvs))
     assert (proc.returncode, proc.stderr) == (0, "")
-    # Each row: exit code, then whether numpy, testfn and mollifier are loaded.
-    want = [[0, False, False, False]] * len(scalar) + [[0, True, False, True]]
+    # Each row: exit code (None for the import), then whether numpy, testfn,
+    # mollifier, dataclasses, detector and checks are loaded.
+    nothing = [False] * 6
+    verify_only = [False, False, False, False, True, True]
+    want = (
+        [[None] + nothing]
+        + [[0] + nothing] * len(h_commands)
+        + [[0] + verify_only] * len(verify)
+        + [[0, True, False, True, False, True, True]]
+    )
     assert json.loads(proc.stdout) == want
 
 

@@ -167,6 +167,11 @@ def test_held_sieve_is_bounded(monkeypatch):
     small_sieve = weakref.ref(mollifier._held)
     big = ArithTable(2000)
     assert ArithTable(1500).spf.base is big.spf.base
+    # A second table at the held limit itself is a view too, not a rebuild.
+    held = mollifier._held
+    again = ArithTable(2000)
+    for k in ("spf", "mu", "primes"):
+        assert np.shares_memory(getattr(again, k), getattr(held, k))
     assert small_sieve() is not None
     del small
     gc.collect()

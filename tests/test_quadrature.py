@@ -1,6 +1,7 @@
 """Adaptive Gauss-Kronrod integrator: accuracy, error paths, measures."""
 
 import bisect
+import copy
 import hashlib
 import heapq
 import math
@@ -455,6 +456,51 @@ def test_every_integral_returns_a_quadresult():
         assert r.n_evals >= 15
         with pytest.raises(TypeError):
             tuple(r)
+
+
+def _records():
+    # Each record of the package twice, built from equal fields, with one
+    # field name and a value that breaks that field's check.
+    from rankbound import detector, mollifier
+
+    tent = _tent()
+    return [
+        (lambda: QuadResult(1.5, 1e-12, 45), "value", None),
+        (lambda: IntegrationDomain(0.0, 2.0), "hi", -1.0),
+        (lambda: PiecewiseSmoothFn(tent.breakpoints, tent.pieces, tent.value_continuous),
+         "breakpoints", (1.0, 0.0, -1.0)),
+        (lambda: Measure(tent, ((0.0, 2.0),)), "atoms", ((0.0, -2.0),)),
+        (lambda: detector.SyntheticH(2.0, 5.0), "rate", 0.0),
+        (lambda: detector.DetectorBox(0.1, 0.0, 1.0), "t2", 0.0),
+        (lambda: mollifier.MollifierParams(1000, 0.5, 0.05), "M", 1000.0),
+    ]
+
+
+def test_records_are_frozen_values():
+    # Records compare and hash by their fields, as the frozen dataclasses
+    # they replace did, refuse assignment, survive a deep copy, and keep their
+    # checks through namedtuple's _replace.
+    for make, field, bad in _records():
+        r, twin = make(), make()
+        assert r is not twin and r == twin and hash(r) == hash(twin)
+        assert copy.deepcopy(r) == r
+        with pytest.raises(AttributeError):
+            setattr(r, field, getattr(r, field))
+        if bad is not None:
+            with pytest.raises(ValueError):
+                r._replace(**{field: bad})
+
+
+def test_transform_memo_hits_on_a_fresh_copy():
+    # laplace_density integrates a new atom-free Measure on every call; it
+    # hashes and compares by its fields, so the second call is a memo hit.
+    m = limits.limit_measure(2)
+    s = 0.123456789  # a key no other test asks for
+    info = limits._transform.cache_info
+    limits.laplace_density(m, s)
+    hits = info().hits
+    assert limits.laplace_density(m, s) == limits.laplace(Measure(m.density), s)
+    assert info().hits == hits + 2
 
 
 def test_measure_n_evals_counts_each_atom_once():
