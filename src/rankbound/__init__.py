@@ -18,8 +18,8 @@ numpy is imported at the top of the two modules that build arrays, testfn
 and mollifier.  The package imports the H pipeline with itself, and
 detector, checks, testfn and mollifier on first access, so a cold
 `constants`, `bound` or `scan` loads neither numpy nor the verify-only
-modules.  Its records are namedtuples, or a plain class with slots, which
-are cheap to define at import.
+modules.  Its records are namedtuples, which are cheap to define at import,
+and no module imports typing or dataclasses.
 """
 
 import importlib

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import kernels, limits
 
@@ -35,16 +35,9 @@ SERIES_TAIL = math.pi * math.pi / 6.0 - 1.25
 MAX_GRID_POINTS = 100_000
 
 
-class BoundReport(NamedTuple):
-    a: float
-    delta: float
-    phi0_hat0: float
-    g_phi_1: float
-    g_phi_a: float
-    g_phi2_1: float
-    g_phi2_a: float
-    bracket: float
-    H: float
+BoundReport = namedtuple(
+    "BoundReport", "a delta phi0_hat0 g_phi_1 g_phi_a g_phi2_1 g_phi2_a bracket H"
+)
 
 
 # Bounds of the two memos below, whose keys are floats a caller supplies.

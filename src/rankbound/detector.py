@@ -51,10 +51,10 @@ class SyntheticH(namedtuple("SyntheticH", "c0 rate")):
     __slots__ = ()
 
     def __new__(cls, c0: float, rate: float):
-        if math.isnan(c0) or c0 < 0.0:
-            raise ValueError("c0 must be nonnegative")
-        if math.isnan(rate) or rate <= 0.0:
-            raise ValueError("rate must be positive")
+        if not 0.0 <= c0 < math.inf:
+            raise ValueError("c0 must be finite and nonnegative")
+        if not 0.0 < rate < math.inf:
+            raise ValueError("rate must be finite and positive")
         return tuple.__new__(cls, (c0, rate))
 
     _make = _checked_make
@@ -71,11 +71,13 @@ class SyntheticH(namedtuple("SyntheticH", "c0 rate")):
 
 
 class DetectorBox(namedtuple("DetectorBox", "sigma_prime t1 t2")):
-    """Right half-strip corner: sigma >= sigma_prime, t1 <= t <= t2."""
+    """Right half-strip corner: sigma >= sigma_prime, t1 <= t <= t2, all finite."""
 
     __slots__ = ()
 
     def __new__(cls, sigma_prime: float, t1: float, t2: float):
+        if not all(map(math.isfinite, (sigma_prime, t1, t2))):
+            raise ValueError("box edges must be finite")
         if not t2 > t1:
             raise ValueError("need t2 > t1")
         return tuple.__new__(cls, (sigma_prime, t1, t2))

@@ -22,7 +22,6 @@ import math
 import numbers
 from collections import namedtuple
 from itertools import chain, repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -283,15 +282,7 @@ def _tail_block(
     return float(np.sum(b)), h1, h2, float(np.sum(prod))
 
 
-class SSums(NamedTuple):
-    S: float
-    S1: float
-    S2: float
-    S3: float
-    closed1: float
-    closed2: float
-    closed3: float
-    closedS: float
+SSums = namedtuple("SSums", "S S1 S2 S3 closed1 closed2 closed3 closedS")
 
 
 def s_sums(table: ArithTable, p: MollifierParams) -> SSums:

@@ -33,11 +33,11 @@ misses reach the integrand.  A hit gives the same two doubles and counts in
 The 15-node layout is ``GK15_X`` and ``GK15_W``; testfn's composite rule
 lays it on fixed equal panels.  The module is scalar and imports no numpy.
 
-The records are cheap to define at import and to build: :class:`QuadResult`
-is a plain read-only class with slots, which cannot be unpacked or indexed,
-and :class:`IntegrationDomain`, :class:`PiecewiseSmoothFn` and
-:class:`Measure` are namedtuples whose ``__new__`` checks the fields.  Each
-compares and hashes by its fields, so equal measures share memo entries.
+The records are namedtuples, cheap to define at import and to build:
+:class:`QuadResult` turns off iteration and indexing, so it cannot be
+unpacked, and :class:`IntegrationDomain`, :class:`PiecewiseSmoothFn` and
+:class:`Measure` check their fields in ``__new__``.  Each compares and
+hashes by its fields, so equal measures share memo entries.
 
 Semi-infinite domains are pulled back to (0, 1) with a logarithmic change
 of variable, which is accurate exactly when the integrand decays at least
@@ -50,7 +50,7 @@ import bisect
 import heapq
 import math
 from collections import namedtuple
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 __all__ = [
     "DEFAULT_TOL",
@@ -158,49 +158,19 @@ class ConvergenceError(QuadratureError):
         super().__init__(message)
 
 
-class QuadResult:
+class QuadResult(namedtuple("QuadResult", "value err_estimate n_evals")):
     """One integral: its value, error estimate and count of values summed.
 
-    Read-only, equal and hashed by its three fields, and not a tuple: it
-    cannot be unpacked or indexed.
+    A namedtuple that cannot be iterated, unpacked or indexed: its fields
+    are read by name alone.
     """
 
-    __slots__ = ("value", "err_estimate", "n_evals")
+    __slots__ = ()
+    __iter__ = __getitem__ = None
 
-    def __init__(self, value: float, err_estimate: float, n_evals: int) -> None:
-        _SET_VALUE(self, value)
-        _SET_ERR(self, err_estimate)
-        _SET_N(self, n_evals)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"QuadResult is read-only: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"QuadResult is read-only: cannot delete {name!r}")
-
-    def _key(self) -> tuple:
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__; namedtuple's own iterates.
         return self.value, self.err_estimate, self.n_evals
-
-    def __eq__(self, other):
-        if type(other) is not QuadResult:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "QuadResult(value=%r, err_estimate=%r, n_evals=%r)" % self._key()
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, not by setting the slots.
-        return QuadResult, self._key()
-
-
-# The slots' own setters, which __init__ calls past the refusing __setattr__.
-_SET_VALUE = QuadResult.value.__set__
-_SET_ERR = QuadResult.err_estimate.__set__
-_SET_N = QuadResult.n_evals.__set__
 
 
 # The _make of every record: namedtuple's own, which _replace calls, would
@@ -445,6 +415,8 @@ class PiecewiseSmoothFn(namedtuple("PiecewiseSmoothFn", "breakpoints pieces valu
         bp = breakpoints
         if len(bp) < 2:
             raise ValueError("need at least two breakpoints")
+        if not all(map(math.isfinite, bp)):
+            raise ValueError("breakpoints must be finite")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if len(pieces) != len(bp) - 1:
@@ -472,8 +444,8 @@ class Measure(namedtuple("Measure", "density atoms")):
     def __new__(cls, density: PiecewiseSmoothFn, atoms: tuple[tuple[float, float], ...] = ()):
         lo, hi = density.support
         for loc, mass in atoms:
-            if mass < 0.0:
-                raise ValueError("atom masses must be nonnegative")
+            if not 0.0 <= mass < math.inf:
+                raise ValueError("atom masses must be finite and nonnegative")
             if not (lo - 1e-12 <= loc <= hi + 1e-12):
                 raise ValueError(f"atom at {loc} outside density support [{lo}, {hi}]")
         return tuple.__new__(cls, (density, atoms))

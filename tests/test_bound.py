@@ -7,8 +7,9 @@ import pkgutil
 import pytest
 
 import rankbound
-from rankbound import bound, kernels
+from rankbound import bound, kernels, limits
 from rankbound.bound import SERIES_TAIL, grid_reports, h_of_a, minimize
+from rankbound.quadrature import IntegrationDomain, integrate
 
 H_048_HALF = 6.49795663079525332764056783948
 H_056_QUARTER = 10.5989258711190825275386119701
@@ -44,6 +45,56 @@ def test_report_is_internally_consistent():
     assert rep.g_phi2_1 > rep.g_phi2_a > 0.0
     with pytest.raises(AttributeError):
         rep.H = 0.0
+
+
+# Tol of the F side's integrals, outer and inner.  At 1e-12 an inner
+# transform near 45,483, where one ulp is 7.3e-12, stalls.
+_F_SIDE_TOL = 1e-11
+
+
+def _g_difference_by_f(a: float, psi) -> tuple[float, float]:
+    """G_psi(1) - G_psi(a) through lemma 1's F side, with its error bound.
+
+    G_psi's kernel integral of x e^(x/2) (K(1, x) - K(a, x)) against psi is,
+    by lemma 1, the integral over [1/2, inf) of (F(1, u) - F(a, u)) times
+    psihat'(u + 1/2), so K is never evaluated.  The bound is the outer
+    integral's error estimate plus what the inner transforms, each within
+    tol of its value, can add: tol times the integral of |F(1, u) - F(a, u)|.
+    """
+
+    def f_diff(u: float) -> float:
+        return kernels.big_f(1.0, u) - kernels.big_f(a, u)
+
+    def integrand(u: float) -> float:
+        fd = f_diff(u)
+        if fd == 0.0:
+            # both F values underflowed, and the transform would overflow
+            return 0.0
+        return fd * limits.laplace_deriv(psi, u + 0.5, _F_SIDE_TOL)
+
+    ray = IntegrationDomain(0.5)
+    outer = integrate(integrand, ray, _F_SIDE_TOL)
+    spread = integrate(lambda u: abs(f_diff(u)), ray, 1e-6)
+    value = f_diff(0.5) * limits.laplace_density(psi, 1.0) + outer.value
+    return value, outer.err_estimate + _F_SIDE_TOL * (spread.value + spread.err_estimate)
+
+
+@pytest.mark.parametrize("a", [0.30, 0.483, 0.70])
+def test_h_without_k(a):
+    # H assembled from the F side agrees with h_of_a within both sides'
+    # error estimates, carried through H's affine form: H moves by
+    # pref / phi0hat(0) per unit of bracket, and phi0hat(0) is shared.
+    rep = h_of_a(a, 0.5)
+    bracket = err = 0.0
+    for order, weight in ((0, 3.0), (2, SERIES_TAIL)):
+        psi = limits.limit_measure(order)
+        g_diff, f_err = _g_difference_by_f(a, psi)
+        k_err = kernels.g_psi(1.0, psi).err_estimate + kernels.g_psi(a, psi).err_estimate
+        bracket += weight * g_diff
+        err += weight * (f_err + k_err)
+    pref = 4.0 * a * a / ((1.0 - a) * (1.0 - a))
+    h_f = 0.5 + (1.0 / rep.phi0_hat0) * (1.0 / (a * 0.5) + pref * bracket)
+    assert abs(h_f - rep.H) <= pref / rep.phi0_hat0 * err
 
 
 def test_g_cache_ignores_delta(monkeypatch):

@@ -331,6 +331,29 @@ def test_scalar_commands_skip_numpy():
     assert json.loads(proc.stdout) == want
 
 
+_TYPING_PROBE = """
+import sys
+seen = ["typing" in sys.modules]
+import contextlib, io
+from rankbound import cli
+seen.append("typing" in sys.modules)
+for argv in (["constants"], ["bound", "--a", "0.48", "--delta", "0.5"], ["scan"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append((cli.main(argv + ["--format", "json"]), "typing" in sys.modules))
+print(seen)
+"""
+
+
+def test_scalar_commands_skip_typing():
+    # Every record is a namedtuple, so the package and the commands that
+    # compute H need no typing.  -S keeps site from loading it first, as
+    # some installs' .pth files do; the first entry shows that the bare
+    # interpreter starts without it, so the later ones can tell.
+    proc = _child("-S", "-c", _TYPING_PROBE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[False, False, (0, False), (0, False), (0, False)]\n"
+
+
 def _imported_modules(node: ast.AST) -> list[str]:
     # Dotted names an import statement loads, relative ones without dots.
     if isinstance(node, ast.Import):
@@ -343,10 +366,10 @@ def _imported_modules(node: ast.AST) -> list[str]:
 
 
 def test_numpy_imports_only_at_the_top_of_two_modules():
-    # The rule behind the probe above, as a module boundary: numpy is
-    # imported at module level in testfn and mollifier and nowhere else, and
-    # no other module imports testfn.
-    numpy_at, testfn_from = set(), set()
+    # The rule behind the probes above, as a module boundary: numpy is
+    # imported at module level in testfn and mollifier and nowhere else, no
+    # other module imports testfn, and none imports typing or dataclasses.
+    numpy_at, testfn_from, record_kits = set(), set(), set()
     for path in sorted(Path(rankbound.__file__).resolve().parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
@@ -357,8 +380,11 @@ def test_numpy_imports_only_at_the_top_of_two_modules():
                 n.removeprefix("rankbound.").split(".")[0] == "testfn" for n in names
             ):
                 testfn_from.add(path.stem)
+            if any(n.split(".")[0] in ("typing", "dataclasses") for n in names):
+                record_kits.add(path.stem)
     assert numpy_at == {("testfn", True), ("mollifier", True)}
     assert testfn_from == set()
+    assert record_kits == set()
 
 
 def test_earlier_calls_do_not_leak(capsys):

@@ -34,6 +34,9 @@ def test_synthetic_h_validation():
         SyntheticH(-1.0, 5.0)
     with pytest.raises(ValueError):
         SyntheticH(1.0, 0.0)
+    for c0, rate in ((math.nan, 5.0), (math.inf, 5.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            SyntheticH(c0, rate)
 
 
 def test_log_abs_matches_direct_evaluation():
@@ -58,6 +61,10 @@ def test_box_validation():
     DetectorBox(0.1, 0.0, 1.0)
     with pytest.raises(ValueError):
         DetectorBox(0.1, 1.0, 1.0)
+    for edges in ((math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0), (0.1, -math.inf, 1.0),
+                  (0.1, 0.0, math.inf), (0.1, math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            DetectorBox(*edges)
     assert DetectorBox(0.0, -0.5, 1.0).width == 1.5
 
 

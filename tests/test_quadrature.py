@@ -5,6 +5,7 @@ import copy
 import hashlib
 import heapq
 import math
+import pickle
 import time
 
 import pytest
@@ -382,10 +383,17 @@ def test_linearity(alpha, beta):
     )
 
 
+def _rise(x):
+    return 1.0 + x
+
+
+def _fall(x):
+    return 1.0 - x
+
+
 def _tent():
-    # 1 - |x| on [-1, 1]
-    pieces = (lambda x: 1.0 + x, lambda x: 1.0 - x)
-    return PiecewiseSmoothFn((-1.0, 0.0, 1.0), pieces, (True, True, True))
+    # 1 - |x| on [-1, 1]; its pieces are module functions, so it pickles
+    return PiecewiseSmoothFn((-1.0, 0.0, 1.0), (_rise, _fall), (True, True, True))
 
 
 def test_piecewise_fn_validation():
@@ -398,6 +406,11 @@ def test_piecewise_fn_validation():
         PiecewiseSmoothFn((0.0, 1.0, 2.0), (piece,), (True, True, True))
     with pytest.raises(ValueError):
         PiecewiseSmoothFn((0.0, 1.0), (piece,), (True, True, True))
+    # a nan breakpoint compares false both ways, and a compact support has
+    # no infinite end
+    for bp in ((-1.0, math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError):
+            PiecewiseSmoothFn(bp, (piece,) * (len(bp) - 1), (True,) * len(bp))
 
 
 def test_piecewise_fn_routing():
@@ -428,6 +441,9 @@ def test_measure_validation():
         Measure(_tent(), ((0.0, -1.0),))
     with pytest.raises(ValueError):
         Measure(_tent(), ((3.0, 1.0),))
+    for atom in ((0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            Measure(_tent(), (atom,))
     Measure(_tent(), ((1.0, 0.5),))  # boundary atom is fine
 
 
@@ -456,6 +472,10 @@ def test_every_integral_returns_a_quadresult():
         assert r.n_evals >= 15
         with pytest.raises(TypeError):
             tuple(r)
+        with pytest.raises(TypeError):
+            r[0]
+        with pytest.raises(TypeError):
+            value, err, n_evals = r
 
 
 def _records():
@@ -478,17 +498,20 @@ def _records():
 
 def test_records_are_frozen_values():
     # Records compare and hash by their fields, as the frozen dataclasses
-    # they replace did, refuse assignment, survive a deep copy, and keep their
-    # checks through namedtuple's _replace.
+    # they replace did, refuse assignment, survive a deep copy and a pickle
+    # round trip, and keep their checks through namedtuple's _replace.
     for make, field, bad in _records():
         r, twin = make(), make()
         assert r is not twin and r == twin and hash(r) == hash(twin)
         assert copy.deepcopy(r) == r
+        assert pickle.loads(pickle.dumps(r)) == r
         with pytest.raises(AttributeError):
             setattr(r, field, getattr(r, field))
         if bad is not None:
             with pytest.raises(ValueError):
                 r._replace(**{field: bad})
+    want = "QuadResult(value=1.5, err_estimate=1e-12, n_evals=45)"
+    assert repr(QuadResult(1.5, 1e-12, 45)) == want
 
 
 def test_transform_memo_hits_on_a_fresh_copy():
