@@ -16,6 +16,13 @@ sigma >= 0 and tau >= 0 only.
 The bump is exactly 1 on [-1/2, 1/2] and 0 beyond 1/2 + eps, so each
 convolution at x is a prefix sum of the bump's quadrature samples over the
 flat part plus short dot products over the two ramp windows around x -+ 1/2.
+The convolution runs in row blocks of ``_CONV_BLOCK`` = 2^15 window entries,
+whose temporaries stay near a core's L2 and are reused from the heap rather
+than faulted in afresh (the sweep that chose it is given there): against
+blocks of 2^20 entries, the positivity scan's phi_eps evaluation at
+eps = 0.05 runs about 2.5 times faster, and the scan's tracemalloc peak at
+eps = 0.003 falls from 58 to 19 MiB.  The rows are independent, so the
+block size moves no bit.
 The module builds arrays throughout, so it imports numpy at its top; the H
 pipeline never imports the module.
 
@@ -36,6 +43,21 @@ __all__ = ["phi_eps_deriv", "check_positivity", "finite_eps_functional"]
 
 # Absolute tolerance of the adaptive finite-eps integrals.
 _FINITE_EPS_TOL = 1e-8
+
+# Window entries per row block of _ConvTable.convs.  A block makes about a
+# dozen float64 temporaries of this size, 256 KiB each at 2^15 entries, so
+# a block's working set of about 3 MiB stays near a core's 2 MiB L2, and
+# once the process has freed one large buffer (a positivity scan's cosine
+# blocks do) the heap reuses it block after block.  At 2^20 entries the
+# positivity nodes of eps = 0.05 made one block of about 33 MiB, which
+# glibc handed back to the kernel after every call: 4,948 minor page faults
+# per call, where 2^15 takes none.  On those 1980 nodes one
+# phi_eps_deriv call took 14.2 ms with 2^20 entries, 7.3 with 2^17, 5.4
+# with 2^15, 4.8 with 2^14 and 6.7 with 2^13 (smaller blocks pay more
+# per-block overhead; 2^15 beat 2^14 at the other four eps swept); at
+# eps = 0.01 (9180 nodes) 69 ms fell to 22 (medians of 4 interleaved
+# sweeps on a 2-core host, BENCH_33.json).
+_CONV_BLOCK = 2**15
 
 
 def _eps_of(eps) -> float:
@@ -105,7 +127,9 @@ class _ConvTable:
     table is padded with that many zero-weight nodes on both sides so every
     run exists.  The prefix sum rounds like any running sum, so against an
     exact sum it drifts with the table size: about 1e-13 relative at
-    eps = 0.005, where a dense dot product stays under 1e-15.
+    eps = 0.005, where a dense dot product stays under 1e-15.  The rows x
+    go in blocks of ``_CONV_BLOCK`` window entries, so that a block's dozen
+    temporaries stay near a core's 2 MiB L2 whatever the length of x.
     """
 
     def __init__(self, e: float) -> None:
@@ -126,9 +150,10 @@ class _ConvTable:
 
     def convs(self, x: np.ndarray, order: int) -> list[np.ndarray]:
         """[(g * g)(x), (g' * g)(x), (g' * g')(x)] up to the given order."""
-        # Rows go in blocks of about a million window entries, so the memory
-        # of a long x (the positivity scan at small eps) stays bounded.
-        step = max(1, 2**20 // (2 * self.width))
+        # Blocks of 2^15 window entries keep the temporaries near L2 size
+        # (_CONV_BLOCK has the sweep); each row is its own sum, so no bit
+        # depends on the block size.
+        step = max(1, _CONV_BLOCK // (2 * self.width))
         blocks = [self._convs(x[i : i + step], order) for i in range(0, max(x.size, 1), step)]
         return [np.concatenate(parts) for parts in zip(*blocks)]
 
@@ -204,7 +229,11 @@ def _min_re_transform(f, hi: float, feature: float) -> float:
     # 1/feature, so a block of cosines holds about 2^20 entries, which
     # bounds the memory.  The block width changes how BLAS rounds a column,
     # so the minimum's last bits depend on it and on the host; nothing pins
-    # them.  np.min keeps a nan, where builtin min could drop it.
+    # them.  That is why these blocks stay at 2^20 entries, unlike
+    # _CONV_BLOCK: at 2^15 every one of 81 minima over eps in [0.01, 0.25]
+    # moved, by up to 4e-16 absolute, which is 4e-6 relative on a minimum
+    # of 5e-12, and the scan got no faster.  np.min keeps a nan, where
+    # builtin min could drop it.
     width = min(feature, math.pi / (4.0 * (_TAU_MAX + 1.0)))
     nodes, weights = composite_gk15(0.0, hi, int(math.ceil(hi / width)))
     rows = 2.0 * weights * np.asarray(f(nodes), dtype=float) * np.cosh(_SIGMAS[:, None] * nodes)

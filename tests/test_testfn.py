@@ -95,6 +95,32 @@ def test_conv_matches_dense_reference(e):
         assert np.all(got[-len(outside):] == 0.0) and np.all(ref[-len(outside):] == 0.0)
 
 
+def test_conv_blocks_are_cache_sized(monkeypatch):
+    # check_positivity(0.05)'s 1980 nodes go to the convolution in row blocks
+    # of at most 2^15 window entries, whose temporaries stay near a core's
+    # L2.  The rows are independent, so the blocks move no bit: the long x
+    # gives the bytes of short slices taken one by one.
+    e = 0.05
+    hi = 1.0 + 2.0 * e
+    x = composite_gk15(0.0, hi, int(math.ceil(hi / min(e / 6.0, math.pi / 84.0))))[0]
+    testfn._table(e)  # built first, so the table's own norm call goes uncounted
+    entries = []
+    inner = testfn._ConvTable._convs
+
+    def counted(self, xs, order):
+        entries.append(xs.size * 2 * self.width)
+        return inner(self, xs, order)
+
+    monkeypatch.setattr(testfn._ConvTable, "_convs", counted)
+    assert x.size == 1980
+    for order in (0, 1, 2):
+        entries.clear()
+        whole = phi_eps_deriv(e, x, order)
+        assert len(entries) > 1 and max(entries) <= 2**15, order
+        parts = [phi_eps_deriv(e, x[i : i + 97], order) for i in range(0, x.size, 97)]
+        assert whole.tobytes() == np.concatenate(parts).tobytes(), order
+
+
 def test_phi_eps_deriv_order_validation():
     with pytest.raises(ValueError):
         phi_eps_deriv(0.1, 0.3, 3)
@@ -303,10 +329,13 @@ def test_phi_eps_is_even(e):
 
 def test_positivity_memory_bounded():
     # The scan's cosines go in blocks of tau columns, so its memory stays
-    # bounded while the node count grows like 1/eps.  At this eps the peak
-    # is about 58 MiB, and the whole cosine matrix would take it to about
-    # 96 MiB.  (At eps = 0.005 the half-line matrix no longer shows: both
-    # peak at 58 MiB, in phi_eps_deriv's blocks.)
+    # bounded while the node count grows like 1/eps.  A cosine block holds
+    # at most 2^20 float64 entries, 8 MiB, and the peak holds two of them,
+    # the block's products and their cosines, beside the 11 sigma rows
+    # (2.5 MiB for this eps's 30180 nodes).  phi_eps_deriv's row blocks are
+    # far smaller and freed before the cosines start, so three cosine
+    # blocks bound the peak.  The whole cosine matrix would take it to about
+    # 96 MiB, and convolution blocks of 2^20 window entries to about 58 MiB.
     testfn._table(0.003)
     tracemalloc.start()
     try:
@@ -315,7 +344,7 @@ def test_positivity_memory_bounded():
     finally:
         tracemalloc.stop()
     assert got > 0.0
-    assert peak < 80 * 2**20
+    assert peak < 3 * 8 * 2**20
 
 
 def test_positivity_indicator_counterexample():
