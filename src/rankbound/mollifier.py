@@ -6,18 +6,19 @@ the sieved tables, which is the point: the analytic closed forms elsewhere
 in the pipeline are verified against these exact sums at concrete M.
 
 An ArithTable is a read-only prefix view of one sieve held per process, the
-largest built so far, with the base vectors of its last four deltas; a table
-at a smaller limit costs no sieving and no base vector the sieve already has.
+largest built so far; a table at a smaller limit costs no sieving, and no
+base vector that the memo ``_base`` already has.
 
 The tables are as long as M; the taper sums of ``s_sums`` are not.  They run
 over blocks of 2**17 entries cut at fixed edges, so their two buffers stay at
 a block's size whatever M is, and every block past the first depends on
-(M, delta) alone: the held sieve keeps those block sums for its last four
-(M, delta) pairs, and a second cutoff a at the same pair sums only its
-first block.  Any M up to 2**17, M = 1e5 among them, is one block.
+(M, delta) alone: the memo ``_tail_blocks`` keeps those block sums for the
+last four (M, delta) pairs used, and a second cutoff a at the same pair sums
+only its first block.  Any M up to 2**17, M = 1e5 among them, is one block.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections import namedtuple
@@ -53,17 +54,19 @@ class MollifierParams(namedtuple("MollifierParams", "M a delta t")):
             raise ValueError("M must be at least 10")
         if not 0.0 < a < 1.0:
             raise ValueError("a must lie in (0, 1)")
-        if not delta > 0.0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < delta < math.inf:
+            raise ValueError("delta must be finite and positive")
+        if not math.isfinite(t):
+            raise ValueError("t must be finite")
         return tuple.__new__(cls, (M, a, delta, t))
 
     _make = _checked_make
 
 
-# Base vectors the held sieve keeps, one per delta: the CLI uses 2 deltas,
-# the acceptance tests 3 and the bench's jobs 3 in all.  The sieve keeps the
-# tail block sums of s_sums for as many (M, delta) pairs: a bench job asks
-# for 2, each at two cutoffs a.  The CLI's M = 1e5 is one block and keeps none.
+# Entries of each memo.  ``_base``: the CLI uses 2 deltas, the acceptance
+# tests 3 and the bench's jobs 3 in all.  ``_tail_blocks``: a bench job asks
+# for 2 (M, delta) pairs, each at two cutoffs a; the CLI's M = 1e5 is one
+# block and keeps none.
 _MEMO = 4
 
 
@@ -73,14 +76,6 @@ def _prime_pows(primes: np.ndarray, e: float) -> np.ndarray:
     n, step = primes.size, 1 << 14
     chunks = (primes[i : i + step].tolist() for i in range(0, n, step))
     return np.fromiter(chain.from_iterable(map(pow, c, repeat(e)) for c in chunks), float, n)
-
-
-def _remember(memo: dict, key, value):
-    """Store value under key, first dropping the oldest entry of a full memo."""
-    if len(memo) == _MEMO:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
 
 
 def _multiply_in(tbl: np.ndarray, primes: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -100,8 +95,7 @@ def _multiply_in(tbl: np.ndarray, primes: np.ndarray, factors: np.ndarray) -> np
 
 class _Sieve:
     """The full-length tables behind every ArithTable of the process, all
-    read-only, the base vectors of the last ``_MEMO`` deltas, and the tail
-    block sums of ``s_sums`` for the last ``_MEMO`` (M, delta) pairs."""
+    read-only: ``spf``, ``primes`` and ``mu`` up to ``limit``."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
@@ -124,25 +118,19 @@ class _Sieve:
         for arr in (spf, primes, mu):
             arr.flags.writeable = False
         self.spf, self.primes, self.mu = spf, primes, mu
-        self._bases: dict[float, np.ndarray] = {}
-        self._tails: dict[tuple[int, float], list] = {}
 
-    def base_vector(self, delta: float) -> np.ndarray:
-        vec = self._bases.get(delta)
-        if vec is None:
-            factors = 1.0 / (_prime_pows(self.primes, 1.0 + 2.0 * delta) - 1.0)
-            vec = _multiply_in(np.square(self.mu, dtype=float), self.primes, factors)
-            vec.flags.writeable = False
-            _remember(self._bases, delta, vec)
-        return vec
 
-    def tail_blocks(self, m: int, delta: float) -> list:
-        """The block sums of s_sums at (m, delta): entry j is block j's
-        (h0, h1, h2, hz), or None until a query sums that block."""
-        blocks = self._tails.get((m, delta))
-        if blocks is None:
-            blocks = _remember(self._tails, (m, delta), [None] * -(-m // _BLOCK))
-        return blocks
+# Keyed on the sieve, which hashes by identity, so a table's vector comes
+# from its own sieve.  ArithTable empties the memo when it replaces the held
+# sieve; until then an old table that asks for a vector keeps its sieve
+# alive while that entry stays.
+@functools.lru_cache(maxsize=_MEMO)
+def _base(sieve: _Sieve, delta: float) -> np.ndarray:
+    """The sieve's full-length base vector at delta, read-only."""
+    factors = 1.0 / (_prime_pows(sieve.primes, 1.0 + 2.0 * delta) - 1.0)
+    vec = _multiply_in(np.square(sieve.mu, dtype=float), sieve.primes, factors)
+    vec.flags.writeable = False
+    return vec
 
 
 # The largest sieve built in this process; ArithTable replaces it only with a
@@ -163,10 +151,10 @@ class ArithTable:
     none depends on the limit: spf, mu and the primes are facts about k, and
     the multiplicative tables below multiply k's prime factors in ascending
     order at any limit, so a view has the bits of a table built at its own
-    limit.  The held sieve and the base vectors of its last ``_MEMO``
-    deltas stay resident after the callers' tables are gone (at 3e6, 17 MB
-    of sieve and 24 MB per vector); a delta new to it costs one base vector
-    at the held size, however small the table asking.  The arrays are
+    limit.  The held sieve and the last ``_MEMO`` base vectors (``_base``)
+    stay resident after the callers' tables are gone (at 3e6, 17 MB of sieve
+    and 24 MB per vector); a delta new to the memo costs one base vector at
+    the held size, however small the table asking.  The arrays are
     read-only because every table shares them.
 
     Every k <= limit has at most one prime factor above r = isqrt(limit); it
@@ -193,7 +181,8 @@ class ArithTable:
         if limit >= 2**31:
             raise ValueError("sieve limit must be below 2**31")
         if _held is None or _held.limit < limit:
-            _held = None  # let go of the old sieve before building the new one
+            _held = None  # let go of the old sieve and its vectors first
+            _base.cache_clear()
             _held = _Sieve(limit)
         self._sieve = sieve = _held
         self.limit = limit
@@ -213,8 +202,8 @@ class ArithTable:
     def base_vector(self, delta: float) -> np.ndarray:
         """mu(k)^2 omega_{1+2delta}(k) k^{-1-2delta} for all k <= limit: for
         squarefree k, the product over p | k of 1/(p^s - 1), s = 1 + 2 delta.
-        A read-only prefix of the held sieve's vector."""
-        return self._sieve.base_vector(delta)[: self.limit + 1]
+        A read-only prefix of the sieve's full-length vector."""
+        return _base(self._sieve, delta)[: self.limit + 1]
 
 
 def y_k_bruteforce(table: ArithTable, k: int, p: MollifierParams) -> complex:
@@ -260,6 +249,14 @@ def y_k_bruteforce(table: ArithTable, k: int, p: MollifierParams) -> complex:
 _BLOCK = 1 << 17
 
 
+@functools.lru_cache(maxsize=_MEMO)
+def _tail_blocks(m: int, delta: float) -> list:
+    """The block sums of s_sums at (m, delta): entry j is block j's
+    (h0, h1, h2, hz), or None until a query sums that block.  They need no
+    sieve, since no base value depends on the table's limit."""
+    return [None] * -(-m // _BLOCK)
+
+
 def _tail_block(
     base: np.ndarray, m: int, lo: int, hi: int, z: float, buf: np.ndarray
 ) -> tuple[float, float, float, float]:
@@ -299,9 +296,9 @@ def s_sums(table: ArithTable, p: MollifierParams) -> SSums:
     no temporary is longer than a block.  For M <= 2**17 the tail is one
     block and the arithmetic is that of one pass over the whole tail.  Only
     the first block, from floor(M^a) + 1 to the next edge, depends on a;
-    every later block's sums depend on (M, delta) alone, and the held sieve
-    keeps them for its last ``_MEMO`` pairs, as long as it is held.  A query
-    at a pair the sieve has seen sums its prefix and first block, sums any
+    every later block's sums depend on (M, delta) alone, and ``_tail_blocks``
+    keeps them for the last ``_MEMO`` pairs used, whatever sieve is held.  A
+    query at a pair seen before sums its prefix and first block, sums any
     block still missing, and adds the kept sums in the same order, so it
     gets the bits of a query that sums every block.
     """
@@ -321,7 +318,7 @@ def s_sums(table: ArithTable, p: MollifierParams) -> SSums:
     buf = np.empty(min(_BLOCK, M - n_lo))
     h0, h1, h2, hz = _tail_block(base, M, n_lo + 1, first + 1, z, buf)
     if first < M:
-        blocks = table._sieve.tail_blocks(M, d)
+        blocks = _tail_blocks(M, d)
         for j in range(first // _BLOCK, len(blocks)):
             if blocks[j] is None:
                 lo = j * _BLOCK + 1

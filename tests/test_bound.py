@@ -122,6 +122,23 @@ def test_g_cache_ignores_delta(monkeypatch):
 # caller supplies, may grow without bound.
 UNBOUNDED_MEMOS = {"rankbound.limits.limit_measure", "rankbound.cli._parser"}
 
+# Every memo of the package, with its bound: a new memo is declared here.
+MEMOS = {
+    "rankbound.bound._g_pair": 4096,
+    "rankbound.bound._phi0_hat0": 64,
+    "rankbound.cli._parser": None,
+    "rankbound.kernels._big_f1": 1024,
+    "rankbound.kernels._big_k1": 256,
+    "rankbound.kernels._edges": 4096,
+    "rankbound.kernels._f_half": 4096,
+    "rankbound.kernels._panels": 4096,
+    "rankbound.limits._transform": 2048,
+    "rankbound.limits.limit_measure": None,
+    "rankbound.mollifier._base": 4,
+    "rankbound.mollifier._tail_blocks": 4,
+    "rankbound.testfn._table": 4,
+}
+
 
 def test_memos_are_bounded():
     memos = {}
@@ -130,9 +147,7 @@ def test_memos_are_bounded():
         for obj in vars(mod).values():
             if callable(getattr(obj, "cache_parameters", None)):
                 memos[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_parameters()["maxsize"]
-    assert {
-        "rankbound.bound._g_pair", "rankbound.kernels._panels", "rankbound.kernels._f_half"
-    } <= set(memos)
+    assert memos == MEMOS
     assert {name for name, size in memos.items() if size is None} <= UNBOUNDED_MEMOS
 
 

@@ -387,6 +387,37 @@ def test_numpy_imports_only_at_the_top_of_two_modules():
     assert record_kits == set()
 
 
+_TRACER_PROBE = """
+import json, math, random, sys
+sys.path.insert(0, sys.argv[1])
+import tracing, workloads
+tracer = tracing.Tracer()
+tracer.install()
+w = workloads.WORKLOADS
+jobs = {
+    "headline": w["headline"].pinned()[0],
+    "verify": w["verify"].block(random.Random(1))[0],
+    "mollifier": min(w["mollifier"].block(random.Random(1)), key=lambda job: job["M"]),
+}
+failed = {name: w[name].check(job, w[name].execute(job), {}) for name, job in jobs.items()}
+bad = sorted(k for k, (v, _) in tracer.layer_metrics().items() if not math.isfinite(v))
+print(json.dumps([failed, bad]))
+"""
+
+
+def test_bench_tracer_runs():
+    # The bench tracer wraps ArithTable's __init__, base_vector and
+    # omega_table, and reads its spf, mu and primes and
+    # PiecewiseSmoothFn.value_continuous, so a change to the package can
+    # break it.  One job of each workload runs under it in a child, because
+    # it rebinds module functions; the child writes no bytecode to bench/.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    proc = _child("-c", _TRACER_PROBE, str(bench), PYTHONDONTWRITEBYTECODE="1")
+    assert proc.returncode == 0, proc.stderr
+    no_failures = {"headline": [], "verify": [], "mollifier": []}
+    assert json.loads(proc.stdout) == [no_failures, []]
+
+
 def test_earlier_calls_do_not_leak(capsys):
     # the kernel caches outlive a command: a scan after scans at another
     # delta and another tol must print what a fresh process prints

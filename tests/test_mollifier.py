@@ -147,7 +147,7 @@ def test_base_vector_memo_is_bounded(monkeypatch):
     # The memo is keyed on caller-supplied deltas: a fifth delta evicts the
     # oldest, which comes back with the same bits, and the last four stay.
     # Each call returns a new view, so a vector that stays is the same
-    # buffer of the held sieve.
+    # buffer the memo holds.
     monkeypatch.setattr(mollifier, "_held", None)
     t = ArithTable(400)
     deltas = (0.01, 0.02, 0.05, 0.1, 0.2)
@@ -160,11 +160,13 @@ def test_base_vector_memo_is_bounded(monkeypatch):
 
 def test_held_sieve_is_bounded(monkeypatch):
     # The module holds only the largest sieve: a smaller one lives as long
-    # as its callers' tables, and a sieve keeps at most four base vectors
+    # as its callers' tables, the memo lets go of its base vectors when the
+    # larger sieve replaces it, and the memo keeps at most four base vectors
     # once its callers drop theirs.
     monkeypatch.setattr(mollifier, "_held", None)
     small = ArithTable(1000)
     small_sieve = weakref.ref(mollifier._held)
+    small_vec = weakref.ref(small.base_vector(0.05).base)
     big = ArithTable(2000)
     assert ArithTable(1500).spf.base is big.spf.base
     # A second table at the held limit itself is a view too, not a rebuild.
@@ -175,7 +177,7 @@ def test_held_sieve_is_bounded(monkeypatch):
     assert small_sieve() is not None
     del small
     gc.collect()
-    assert small_sieve() is None
+    assert small_sieve() is None and small_vec() is None
     vecs = [weakref.ref(big.base_vector(d).base) for d in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3)]
     gc.collect()
     assert [v() is not None for v in vecs] == [False, False, True, True, True, True]
@@ -220,9 +222,14 @@ def test_arith_table_rejects_limit_past_int32(monkeypatch):
 
 def test_params_validation():
     MollifierParams(100, 0.5, 0.05)
-    for M, a, d in ((9, 0.5, 0.05), (100, 0.0, 0.05), (100, 1.0, 0.05), (100, 0.5, 0.0)):
+    MollifierParams(100, 0.5, 0.05, -3.0)
+    for M, a, d, t in (
+        (9, 0.5, 0.05, 0.0), (100, 0.0, 0.05, 0.0), (100, 1.0, 0.05, 0.0), (100, 0.5, 0.0, 0.0),
+        (100, 0.5, math.inf, 0.0), (100, 0.5, math.nan, 0.0),
+        (100, 0.5, 0.05, math.nan), (100, 0.5, 0.05, math.inf), (100, 0.5, 0.05, -math.inf),
+    ):
         with pytest.raises(ValueError):
-            MollifierParams(M, a, d)
+            MollifierParams(M, a, d, t)
 
 
 def test_params_reject_non_integral_m(small_table):
@@ -433,13 +440,13 @@ def test_streamed_s_sums_match_whole_tail(big_table, M, a, delta):
     assert abs(got.S - (got.S1 + got.S2 + got.S3)) <= 1e-12
 
 
-def test_s_sums_memory_stays_at_block_size(big_table, monkeypatch):
+def test_s_sums_memory_stays_at_block_size(big_table):
     # The taper sums use two buffers a block long (1 MiB each), not M long:
     # one pass over the whole tail peaks at 15 MiB here.  The memo is
     # cleared so that every block is summed.
     p = MollifierParams(1_000_000, 0.3, 0.05)
     big_table.base_vector(p.delta)
-    monkeypatch.setattr(big_table._sieve, "_tails", {})
+    mollifier._tail_blocks.cache_clear()
     tracemalloc.start()
     try:
         s_sums(big_table, p)
@@ -449,29 +456,37 @@ def test_s_sums_memory_stays_at_block_size(big_table, monkeypatch):
     assert peak < 3 * 2**20
 
 
-def test_s_sums_memo_keeps_the_bits(big_table, monkeypatch):
+def test_s_sums_memo_keeps_the_bits(big_table):
     # A second a at the same (M, delta) adds the first query's block sums;
     # it gets the bits of a query that sums every block itself.
     M, d = 1_000_000, 0.05
-    monkeypatch.setattr(big_table._sieve, "_tails", {})
+    memo = mollifier._tail_blocks
+    memo.cache_clear()
     s_sums(big_table, MollifierParams(M, 0.3, d))
-    blocks = big_table._sieve._tails[M, d]
+    blocks = memo(M, d)
     assert None not in blocks[1:]
     warm = s_sums(big_table, MollifierParams(M, 0.6, d))
-    assert big_table._sieve._tails[M, d] is blocks
-    monkeypatch.setattr(big_table._sieve, "_tails", {})
+    assert memo(M, d) is blocks and memo.cache_info().misses == 1
+    memo.cache_clear()
     cold = s_sums(big_table, MollifierParams(M, 0.6, d))
     assert [v.hex() for v in warm] == [v.hex() for v in cold]
 
 
-def test_s_sums_memo_is_bounded(big_table, monkeypatch):
+def test_s_sums_memo_is_bounded(big_table):
     # The memo is keyed on the callers' (M, delta): a fifth pair evicts the
-    # oldest, and the last four stay.
-    monkeypatch.setattr(big_table._sieve, "_tails", {})
+    # least recently used, and the last four stay.
+    memo = mollifier._tail_blocks
+    memo.cache_clear()
     pairs = [(M, d) for M in (200_000, 300_000, 400_000) for d in (0.05, 0.1)][:5]
     for M, d in pairs:
         s_sums(big_table, MollifierParams(M, 0.5, d))
-    assert list(big_table._sieve._tails) == pairs[1:]
+    assert memo.cache_info().currsize == 4
+    misses = memo.cache_info().misses
+    for M, d in pairs[1:]:
+        memo(M, d)
+    assert memo.cache_info().misses == misses
+    memo(*pairs[0])
+    assert memo.cache_info().misses == misses + 1
 
 
 def test_s_sums_independent_of_t(table):
@@ -501,13 +516,14 @@ def test_truncated_zeta_identity(table):
 
 
 def test_truncated_zeta_check_rejects_delta_before_building(table):
-    # A delta that zeta_vals rejects builds no base vector and evicts none.
+    # A delta that zeta_vals rejects builds no base vector and evicts none:
+    # the memo sees no call at all.
     table.base_vector(0.05)
-    keys = list(table._sieve._bases)
+    info = mollifier._base.cache_info()
     for bad in (1.5, 0.0, math.nan):
         with pytest.raises(ValueError):
             truncated_zeta_check(table, 5000.5, bad)
-    assert list(table._sieve._bases) == keys
+    assert mollifier._base.cache_info() == info
 
 
 def test_zeta_values():
