@@ -8,21 +8,22 @@ whose derivative measures (:mod:`rankbound.limits`) feed H; nothing here
 does.  The module checks the family against that limit: the finite-eps
 functionals of :func:`finite_eps_functional` converge to the limit-measure
 integrals, and :func:`check_positivity` scans Re(transform) on a fixed
-complex grid.  The scan folds the even phi_eps onto the half-line
-[0, 1 + 2 eps], where Re(transform) at sigma + i tau is twice the integral
-of phi_eps(x) cosh(sigma x) cos(tau x), even in sigma and tau; so it takes
+complex grid.  The functionals integrate adaptively from first panels cut
+at phi_eps's narrow features, which 15 nodes can otherwise miss.  The scan
+folds the even phi_eps onto the half-line [0, 1 + 2 eps], where
+Re(transform) at sigma + i tau is twice the integral of
+phi_eps(x) cosh(sigma x) cos(tau x), even in sigma and tau; so it takes
 sigma >= 0 and tau >= 0 only.
 
 The bump is exactly 1 on [-1/2, 1/2] and 0 beyond 1/2 + eps, so each
 convolution at x is a prefix sum of the bump's quadrature samples over the
-flat part plus short dot products over the two ramp windows around x -+ 1/2.
-The convolution runs in row blocks of ``_CONV_BLOCK`` = 2^15 window entries,
-whose temporaries stay near a core's L2 and are reused from the heap rather
-than faulted in afresh (the sweep that chose it is given there): against
-blocks of 2^20 entries, the positivity scan's phi_eps evaluation at
-eps = 0.05 runs about 2.5 times faster, and the scan's tracemalloc peak at
-eps = 0.003 falls from 58 to 19 MiB.  The rows are independent, so the
-block size moves no bit.
+flat part plus short dot products over the ramp windows around x -+ 1/2:
+both windows for |x| < eps, and for |x| >= eps only the one that meets the
+bump's support, since the other holds zero weights alone.  The convolution
+runs in row blocks of at most ``_CONV_BLOCK`` = 2^15 window entries, whose
+temporaries stay near a core's L2 and are reused from the heap rather than
+faulted in afresh.  The rows are independent, so the block size moves no
+bit.
 The module builds arrays throughout, so it imports numpy at its top; the H
 pipeline never imports the module.
 
@@ -44,19 +45,15 @@ __all__ = ["phi_eps_deriv", "check_positivity", "finite_eps_functional"]
 # Absolute tolerance of the adaptive finite-eps integrals.
 _FINITE_EPS_TOL = 1e-8
 
-# Window entries per row block of _ConvTable.convs.  A block makes about a
+# Window entries per row block of _ConvTable.convs, counting both windows
+# of every row; a row |x| >= eps fills only one.  A block makes about a
 # dozen float64 temporaries of this size, 256 KiB each at 2^15 entries, so
 # a block's working set of about 3 MiB stays near a core's 2 MiB L2, and
 # once the process has freed one large buffer (a positivity scan's cosine
-# blocks do) the heap reuses it block after block.  At 2^20 entries the
-# positivity nodes of eps = 0.05 made one block of about 33 MiB, which
-# glibc handed back to the kernel after every call: 4,948 minor page faults
-# per call, where 2^15 takes none.  On those 1980 nodes one
-# phi_eps_deriv call took 14.2 ms with 2^20 entries, 7.3 with 2^17, 5.4
-# with 2^15, 4.8 with 2^14 and 6.7 with 2^13 (smaller blocks pay more
-# per-block overhead; 2^15 beat 2^14 at the other four eps swept); at
-# eps = 0.01 (9180 nodes) 69 ms fell to 22 (medians of 4 interleaved
-# sweeps on a 2-core host, BENCH_33.json).
+# blocks do) the heap reuses it block after block.  Blocks of 2^20 entries
+# were handed back to the kernel after every call and faulted in afresh;
+# smaller blocks than 2^14 pay more per-block overhead (the sweep is in
+# BENCH_33.json).
 _CONV_BLOCK = 2**15
 
 
@@ -120,14 +117,17 @@ class _ConvTable:
     the node count is a few hundred per unit of support.  The bump g is
     exactly 1 on [-1/2, 1/2] and 0 beyond 1/2 + eps, so (g * g)(x) is a
     prefix sum of the weighted samples over the nodes t with |x - t| <= 1/2
-    plus two dot products over the ramp windows, the nodes just left of
+    plus dot products over the ramp windows, the nodes just left of
     x - 1/2 and just right of x + 1/2.  g' vanishes off the ramps, so the
     derivative convolutions need the windows alone.  Each window is a fixed
     run of ``width`` nodes, the most that a span of length eps holds; the
     table is padded with that many zero-weight nodes on both sides so every
-    run exists.  The prefix sum rounds like any running sum, so against an
-    exact sum it drifts with the table size: about 1e-13 relative at
-    eps = 0.005, where a dense dot product stays under 1e-15.  The rows x
+    run exists.  For x >= eps the right window lies past 1/2 + eps, and for
+    x <= -eps the left one lies before -1/2 - eps, so such rows sum their
+    one live window: half the entries of a row |x| < eps.  The prefix sum
+    rounds like any running sum, so against an exact sum it drifts with the
+    table size: about 1e-13 relative at eps = 0.005, where a dense dot
+    product stays under 1e-15.  The rows x
     go in blocks of ``_CONV_BLOCK`` window entries, so that a block's dozen
     temporaries stay near a core's 2 MiB L2 whatever the length of x.
     """
@@ -151,17 +151,29 @@ class _ConvTable:
     def convs(self, x: np.ndarray, order: int) -> list[np.ndarray]:
         """[(g * g)(x), (g' * g)(x), (g' * g')(x)] up to the given order."""
         # Blocks of 2^15 window entries keep the temporaries near L2 size
-        # (_CONV_BLOCK has the sweep); each row is its own sum, so no bit
-        # depends on the block size.
+        # (_CONV_BLOCK says why); each row is its own sum, so no bit depends
+        # on the block size.
         step = max(1, _CONV_BLOCK // (2 * self.width))
         blocks = [self._convs(x[i : i + step], order) for i in range(0, max(x.size, 1), step)]
         return [np.concatenate(parts) for parts in zip(*blocks)]
 
     def _convs(self, x: np.ndarray, order: int) -> list[np.ndarray]:
+        # Rows |x| >= eps sum their one live window (see the class
+        # docstring).  A block that mixes them with rows |x| < eps sums each
+        # class on its own, so no row's bits depend on the rows beside it.
+        far = np.abs(x) >= self.eps
+        if far.any() and not far.all():
+            sums = [np.empty_like(x) for _ in range(order + 1)]
+            for rows in (far, ~far):
+                for total, part in zip(sums, self._convs(x[rows], order)):
+                    total[rows] = part
+            return sums
         lo = np.searchsorted(self.t, x - 0.5, side="left")  # first t >= x - 1/2
         hi = np.searchsorted(self.t, x + 0.5, side="right")  # first t > x + 1/2
-        # Padded indices of the runs ending at lo and starting at hi.
-        idx = np.concatenate((lo[:, None] + self.run, hi[:, None] + self.width + self.run), axis=1)
+        # Padded starts of the runs ending at lo and starting at hi.
+        right = hi + self.width
+        starts = [np.where(x >= self.eps, lo, right)] if far.all() else [lo, right]
+        idx = np.concatenate([s[:, None] + self.run for s in starts], axis=1)
         d = x[:, None] - self.tpad[idx]
         wg = self.wg[idx]
         if order == 0:
@@ -249,14 +261,36 @@ def check_positivity(eps) -> float:
     return _min_re_transform(lambda x: phi_eps_deriv(e, x, 0), 1.0 + 2.0 * e, e / 6.0)
 
 
+def _sign_changes(e: float) -> list[float]:
+    # The sign changes of phi_eps'' on (0, 1 + 2 eps): one scan of 255
+    # interior points, then a secant step inside each bracketing pair.
+    x = np.linspace(0.0, 1.0 + 2.0 * e, 257)[1:-1]
+    f = phi_eps_deriv(e, x, 2)
+    k = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
+    a, b, fa, fb = x[k], x[k + 1], f[k], f[k + 1]
+    return (a - fa * (b - a) / (fb - fa)).tolist()
+
+
 def finite_eps_functional(eps, order: int, h: Callable[[float], float]) -> float:
     """Integral of |phi_eps_deriv(eps, x, order)| * h over the support, adaptively.
 
-    The absolute value has kinks wherever the derivative changes sign, at
-    locations that drift with eps, so this stays on the adaptive path rather
-    than the fixed-rule one.  The integrator evaluates a split at a time:
-    the nodes of the first panels, then of both halves of each split, go to
-    phi_eps_deriv as one array; h is called node by node.
+    phi_eps's narrow features lie at |x| <= 2 eps, where the bump's ramps
+    round off the peak, at 1 - 2 eps <= |x| <= 1 + 2 eps, where they round
+    off the foot, and at the sign changes of phi_eps^(order), where the
+    absolute value has a kink.  When a panel's 15 nodes miss a feature, its
+    Gauss and Kronrod sums can agree anyway, and the integral stops short of
+    its tolerance.  So the first panels are cut at 0, +-eps, +-1 and
+    +-(1 + eps), which split both features, and for order 2 also at +- each
+    sign change of phi_eps'' on (0, 1 + 2 eps), found by :func:`_sign_changes`
+    (near +-0.30 for small eps, where phi_0'' changes sign at RHO).  Orders
+    0 and 1 have no sign change on (0, 1 + 2 eps): g * g is even and
+    decreases on x > 0, as the self-convolution of an even bump that
+    decreases on x > 0 (such convolutions stay even and unimodal), and sech
+    is positive and decreasing there, so phi_eps >= 0 and phi_eps' <= 0 on
+    x > 0; the kink of |phi_eps'| at 0 is a cut already.  The integrator
+    evaluates a split at a time: the nodes of the first panels, then of both
+    halves of each split, go to phi_eps_deriv as one array; h is called node
+    by node.
     """
     e = _eps_of(eps)
     half = 1.0 + 2.0 * e
@@ -265,6 +299,7 @@ def finite_eps_functional(eps, order: int, h: Callable[[float], float]) -> float
         ys = np.abs(phi_eps_deriv(e, np.array(xs), order)) * np.array([h(t) for t in xs])
         return ys.tolist()
 
-    seeds = [b for b in (-1.0, -0.5, 0.0, 0.5, 1.0) if -half < b < half]
+    cuts = [e, 1.0, 1.0 + e] + (_sign_changes(e) if order == 2 else [])
+    seeds = [0.0] + [s * c for c in cuts for s in (-1.0, 1.0)]
     domain = IntegrationDomain(-half, half)
     return integrate_array(fv, domain, _FINITE_EPS_TOL, breakpoints=seeds).value

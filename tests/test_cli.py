@@ -418,6 +418,26 @@ def test_bench_tracer_runs():
     assert json.loads(proc.stdout) == [no_failures, []]
 
 
+_VERIFY_JOB_PROBE = """
+import itertools, json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+w = workloads.WORKLOADS["verify"]
+job = next(itertools.islice(itertools.chain.from_iterable(w.blocks(44)), 61, None))
+print(json.dumps(w.check(job, w.execute(job), {})))
+"""
+
+
+def test_bench_verify_seed_44_job_61_passes_its_gates():
+    # This job takes the order-1 finite-eps functional at eps = 0.0910 and
+    # 0.0455; with panels first cut at 0, +-1/2 and +-1, its error rose
+    # from 2.6e-11 to 2.0e-6 as eps halved, and the bench run failed.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    proc = _child("-c", _VERIFY_JOB_PROBE, str(bench), PYTHONDONTWRITEBYTECODE="1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_earlier_calls_do_not_leak(capsys):
     # the kernel caches outlive a command: a scan after scans at another
     # delta and another tol must print what a fresh process prints

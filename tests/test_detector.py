@@ -13,7 +13,6 @@ from rankbound.detector import (
     MU,
     DetectorBox,
     SyntheticH,
-    _log_abs,
     detector_weight,
     lemma6_check,
     shrunk_box,
@@ -39,12 +38,30 @@ def test_synthetic_h_validation():
             SyntheticH(c0, rate)
 
 
-def test_log_abs_matches_direct_evaluation():
+def test_log_abs_matches_direct_evaluation(monkeypatch):
+    # lemma6_check writes log|h| out inside its two integrands; both are
+    # caught here and evaluated at nodes of their own, against log|h| from
+    # complex arithmetic.
     c0, rate = math.e, 5.0
-    for x, y in ((0.5, 0.3), (-0.2, 1.7), (0.21, 0.1), (3.0, -2.0)):
-        want = math.log(abs(_h_direct(c0, rate, x, y)))
-        got = _log_abs(c0 * math.exp(-rate * x), 2.0 * math.cos(rate * y))
-        assert got == pytest.approx(want, abs=1e-12)
+    sp, t1, t2 = -0.2, -0.5, 0.7
+    w = t2 - t1
+    panels = []
+    inner = detector.integrate_array
+
+    def caught(fv, domain, tol, breakpoints=()):
+        panels.append(fv)
+        return inner(fv, domain, tol, breakpoints)
+
+    monkeypatch.setattr(detector, "integrate_array", caught)
+    lemma6_check(SyntheticH(c0, rate), DetectorBox(sp, t1, t2))
+    seg, ray = panels
+    log_abs = lambda x, y: math.log(abs(_h_direct(c0, rate, x, y)))
+    ts = [-0.45, -0.1, 0.3, 0.69]
+    want = [math.sin(math.pi * (t - t1) / w) * log_abs(sp, t) for t in ts]
+    assert seg(ts) == pytest.approx(want, abs=1e-12)
+    betas = [-0.1, 0.21, 0.5, 1.5]
+    want = [math.sinh(math.pi * (b - sp) / w) * (log_abs(b, t1) + log_abs(b, t2)) for b in betas]
+    assert ray(betas) == pytest.approx(want, abs=1e-12)
 
 
 def test_planted_zeros_are_zeros():
