@@ -52,9 +52,9 @@ def c_const() -> float:
 def big_f(a: float, u: float) -> float:
     """F(a, u) for a in (0, 1] and u > 0.
 
-    The third term carries exp(+u) against E(((2 + a)/a) u); for large u the
-    product is evaluated in log space, and an underflowed E short-circuits to
-    zero since E decays much faster than exp(u) grows here.
+    The third term carries exp(+u) against E(((2 + a)/a) u); an underflowed
+    E short-circuits to zero since E decays much faster than exp(u) grows
+    here.
     """
     if not 0.0 < a <= 1.0:
         raise ValueError("need a in (0, 1]")
@@ -63,12 +63,7 @@ def big_f(a: float, u: float) -> float:
     t1 = math.exp(-2.0 * u / a)
     t2 = u * math.exp(-u) * exp_e((2.0 - a) * u / a)
     e3 = exp_e((2.0 + a) * u / a)
-    if e3 == 0.0:
-        t3 = 0.0
-    elif u > 700.0:
-        t3 = u * math.exp(u + math.log(e3))
-    else:
-        t3 = u * math.exp(u) * e3
+    t3 = 0.0 if e3 == 0.0 else u * math.exp(u) * e3
     return (t1 + t2 - t3) / (_C * u * u)
 
 
@@ -229,11 +224,7 @@ def i_pm(a: float, u: float, sign) -> float:
     ev = exp_e((2.0 / a - sg) * u)
     if ev == 0.0:
         return 0.0
-    if sg > 0:
-        return math.exp(-u) * ev / u
-    if u > 600.0:
-        return math.exp(u + math.log(ev)) / u
-    return math.exp(u) * ev / u
+    return math.exp(-sg * u) * ev / u
 
 
 # Absolute tolerance of the defining tail integrals.

@@ -9,12 +9,12 @@ An ArithTable is a read-only prefix view of one sieve held per process, the
 largest built so far; a table at a smaller limit costs no sieving, and no
 base vector that the memo ``_base`` already has.
 
-The tables are as long as M; the taper sums of ``s_sums`` are not.  They run
-over blocks of 2**17 entries cut at fixed edges, so their two buffers stay at
-a block's size whatever M is, and every block past the first depends on
-(M, delta) alone: the memo ``_tail_blocks`` keeps those block sums for the
-last four (M, delta) pairs used, and a second cutoff a at the same pair sums
-only its first block.  Any M up to 2**17, M = 1e5 among them, is one block.
+The tables are as long as M; the taper sums of ``s_sums`` cost O(2**17)
+whatever M is.  ``_base`` keeps, beside each base vector, four moments of
+every whole block of 2**17 entries, and ``s_sums`` takes each whole block of
+its tail from them; it sums directly only the first block of the tail, which
+depends on a, and the last, partial one.  Any M up to 2**17, M = 1e5 among
+them, is one block summed directly.
 """
 from __future__ import annotations
 
@@ -63,11 +63,17 @@ class MollifierParams(namedtuple("MollifierParams", "M a delta t")):
     _make = _checked_make
 
 
-# Entries of each memo.  ``_base``: the CLI uses 2 deltas, the acceptance
-# tests 3 and the bench's jobs 3 in all.  ``_tail_blocks``: a bench job asks
-# for 2 (M, delta) pairs, each at two cutoffs a; the CLI's M = 1e5 is one
-# block and keeps none.
+# Base vectors, with their block moments, kept by ``_base``: the CLI uses 2
+# deltas, the acceptance tests 3 and the bench's jobs 3 in all.
 _MEMO = 4
+
+# Entries per block of the tail sums in s_sums and of the moments that
+# ``_base`` keeps; block j holds the k in (j 2**17, (j + 1) 2**17].  2**17 is
+# the smallest power of two that holds the whole tail (n_lo, M] at M = 1e5,
+# so every pinned sum and every printed residual is one block: the same numpy
+# sums, bit for bit, as one pass over the whole tail.  A larger M moves only
+# in the last bits.
+_BLOCK = 1 << 17
 
 
 def _prime_pows(primes: np.ndarray, e: float) -> np.ndarray:
@@ -125,12 +131,36 @@ class _Sieve:
 # sieve; until then an old table that asks for a vector keeps its sieve
 # alive while that entry stays.
 @functools.lru_cache(maxsize=_MEMO)
-def _base(sieve: _Sieve, delta: float) -> np.ndarray:
-    """The sieve's full-length base vector at delta, read-only."""
+def _base(sieve: _Sieve, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sieve's full-length base vector at delta and the moments of its
+    whole blocks, both read-only.
+
+    Row j of the moments is (c, P0, P1, P2) for block j, the k in
+    (j 2**17, (j + 1) 2**17], for every j >= 1 with (j + 1) 2**17 <= limit:
+    c = (j + 1/2) 2**17 is the block's midpoint and P_i the sum over the
+    block of base[k] u^i, with u = log(k / c) and so |u| <= log(3/2) < 0.41.
+    Row 0 is NaN, since block 0 always holds the first k of a tail, which
+    ``s_sums`` sums directly.  A row is summed from its own block's base
+    values alone, so any sieve that holds the whole block gives its bits.
+    """
     factors = 1.0 / (_prime_pows(sieve.primes, 1.0 + 2.0 * delta) - 1.0)
     vec = _multiply_in(np.square(sieve.mu, dtype=float), sieve.primes, factors)
-    vec.flags.writeable = False
-    return vec
+    moments = np.full((sieve.limit // _BLOCK, 4), math.nan)
+    prod = np.empty(_BLOCK)
+    for j in range(1, len(moments)):
+        lo = j * _BLOCK + 1
+        c = (j + 0.5) * _BLOCK
+        b = vec[lo : lo + _BLOCK]
+        u = np.arange(lo, lo + _BLOCK, dtype=float)
+        u /= c
+        np.log(u, out=u)
+        np.multiply(b, u, out=prod)
+        p1 = float(np.sum(prod))
+        prod *= u
+        moments[j] = c, float(np.sum(b)), p1, float(np.sum(prod))
+    for arr in (vec, moments):
+        arr.flags.writeable = False
+    return vec, moments
 
 
 # The largest sieve built in this process; ArithTable replaces it only with a
@@ -151,11 +181,11 @@ class ArithTable:
     none depends on the limit: spf, mu and the primes are facts about k, and
     the multiplicative tables below multiply k's prime factors in ascending
     order at any limit, so a view has the bits of a table built at its own
-    limit.  The held sieve and the last ``_MEMO`` base vectors (``_base``)
-    stay resident after the callers' tables are gone (at 3e6, 17 MB of sieve
-    and 24 MB per vector); a delta new to the memo costs one base vector at
-    the held size, however small the table asking.  The arrays are
-    read-only because every table shares them.
+    limit.  The held sieve and the last ``_MEMO`` base vectors, with their
+    block moments (``_base``), stay resident after the callers' tables are
+    gone (at 3e6, 17 MB of sieve and 24 MB per vector); a delta new to the
+    memo costs one base vector at the held size, however small the table
+    asking.  The arrays are read-only because every table shares them.
 
     Every k <= limit has at most one prime factor above r = isqrt(limit); it
     divides k to the first power and is k's largest prime factor (Bays and
@@ -203,7 +233,7 @@ class ArithTable:
         """mu(k)^2 omega_{1+2delta}(k) k^{-1-2delta} for all k <= limit: for
         squarefree k, the product over p | k of 1/(p^s - 1), s = 1 + 2 delta.
         A read-only prefix of the sieve's full-length vector."""
-        return _base(self._sieve, delta)[: self.limit + 1]
+        return _base(self._sieve, delta)[0][: self.limit + 1]
 
 
 def y_k_bruteforce(table: ArithTable, k: int, p: MollifierParams) -> complex:
@@ -241,22 +271,6 @@ def y_k_bruteforce(table: ArithTable, k: int, p: MollifierParams) -> complex:
     return pref * total
 
 
-# Entries per block of the tail sums in s_sums; block j holds the k in
-# (j 2**17, (j + 1) 2**17].  2**17 is the smallest power of two that holds
-# the whole tail (n_lo, M] at M = 1e5, so every pinned sum and every printed
-# residual is one block: the same numpy sums, bit for bit, as one pass over
-# the whole tail.  A larger M moves only in the last bits.
-_BLOCK = 1 << 17
-
-
-@functools.lru_cache(maxsize=_MEMO)
-def _tail_blocks(m: int, delta: float) -> list:
-    """The block sums of s_sums at (m, delta): entry j is block j's
-    (h0, h1, h2, hz), or None until a query sums that block.  They need no
-    sieve, since no base value depends on the table's limit."""
-    return [None] * -(-m // _BLOCK)
-
-
 def _tail_block(
     base: np.ndarray, m: int, lo: int, hi: int, z: float, buf: np.ndarray
 ) -> tuple[float, float, float, float]:
@@ -292,15 +306,21 @@ def s_sums(table: ArithTable, p: MollifierParams) -> SSums:
     this point.
 
     The sums over the tapered range M^a < k <= M are taken block by block,
-    at the fixed edges of ``_BLOCK``, and the block sums are added in order;
-    no temporary is longer than a block.  For M <= 2**17 the tail is one
-    block and the arithmetic is that of one pass over the whole tail.  Only
-    the first block, from floor(M^a) + 1 to the next edge, depends on a;
-    every later block's sums depend on (M, delta) alone, and ``_tail_blocks``
-    keeps them for the last ``_MEMO`` pairs used, whatever sieve is held.  A
-    query at a pair seen before sums its prefix and first block, sums any
-    block still missing, and adds the kept sums in the same order, so it
-    gets the bits of a query that sums every block.
+    at the fixed edges of ``_BLOCK``; no temporary is longer than a block.
+    Two blocks are summed directly: the first, from floor(M^a) + 1 to the
+    next edge, which depends on a, and the last when M ends it short.  For
+    M <= 2**17 the tail is one block and the arithmetic is that of one pass
+    over the whole tail.  Every whole block between them comes from the
+    moments that ``_base`` keeps, which do not depend on M: with c the
+    block's midpoint, u = log(k / c) and D = log(M / c), the taper log is
+    log(M / k) = D - u, so the block's four sums are
+
+        h0 = P0,  h1 = D P0 - P1,  h2 = D^2 P0 - 2 D P1 + P2,
+        hz = w^2 P0 - 2 w P1 + P2 with w = D - z,
+
+    where P_i sums base[k] u^i.  Since |u| <= 0.41, no term cancels.  A
+    query thus costs two blocks and a few operations per whole block,
+    whatever M and a are.
     """
     M, a, d = p.M, p.a, p.delta
     table.check_n(M)
@@ -312,22 +332,27 @@ def s_sums(table: ArithTable, p: MollifierParams) -> SSums:
     z = zeta_p / zeta
 
     low_sum = float(np.sum(base[1 : n_lo + 1]))
+    # The whole blocks from the moments span (first, last].
     first = min((n_lo // _BLOCK + 1) * _BLOCK, M)
+    last = max(M // _BLOCK * _BLOCK, first)
     # One product buffer per call: a new one per block read 1.7 MB more peak
     # RSS on the mollifier benchmark, a heap layout step (BENCH_27.json).
     buf = np.empty(min(_BLOCK, M - n_lo))
     h0, h1, h2, hz = _tail_block(base, M, n_lo + 1, first + 1, z, buf)
-    if first < M:
-        blocks = _tail_blocks(M, d)
-        for j in range(first // _BLOCK, len(blocks)):
-            if blocks[j] is None:
-                lo = j * _BLOCK + 1
-                blocks[j] = _tail_block(base, M, lo, min(lo + _BLOCK, M + 1), z, buf)
-            s0, s1, s2, sz = blocks[j]
-            h0 += s0
-            h1 += s1
-            h2 += s2
-            hz += sz
+    if first < last:
+        c, p0, p1, p2 = _base(table._sieve, d)[1][first // _BLOCK : last // _BLOCK].T
+        D = np.log(M / c)
+        w = D - z
+        h0 += float(np.sum(p0))
+        h1 += float(np.sum(D * p0 - p1))
+        h2 += float(np.sum(D * (D * p0 - 2.0 * p1) + p2))
+        hz += float(np.sum(w * (w * p0 - 2.0 * p1) + p2))
+    if last < M:
+        s0, s1, s2, sz = _tail_block(base, M, last + 1, M + 1, z, buf)
+        h0 += s0
+        h1 += s1
+        h2 += s2
+        hz += sz
 
     L2 = cap_l * cap_l
     s_full = (low_sum + hz / L2) / zeta

@@ -135,7 +135,6 @@ MEMOS = {
     "rankbound.limits._transform": 2048,
     "rankbound.limits.limit_measure": None,
     "rankbound.mollifier._base": 4,
-    "rankbound.mollifier._tail_blocks": 4,
     "rankbound.testfn._table": 4,
 }
 

@@ -379,21 +379,22 @@ def test_s_sums_exact_bits(table):
         assert tuple(v.hex() for v in got) == want
 
 
-def _s_sums_whole(table, p):
-    # s_sums with the tail sums taken in one pass over the whole tail
+def _s_sums_whole(table, p, total=np.sum):
+    # s_sums with the tail sums taken in one pass over the whole tail, each
+    # sum by ``total``
     M, a, d = p.M, p.a, p.delta
     zeta, zeta_p = zeta_vals(d)
     base = table.base_vector(d)
     n_lo = math.floor(float(M) ** a)
     cap_l = (1.0 - a) * math.log(M)
     z = zeta_p / zeta
-    low_sum = float(np.sum(base[1 : n_lo + 1]))
+    low_sum = float(total(base[1 : n_lo + 1]))
     b_hi = base[n_lo + 1 : M + 1]
     lg_hi = np.log(float(M) / np.arange(n_lo + 1, M + 1, dtype=float))
-    h0 = float(np.sum(b_hi))
-    h1 = float(np.sum(b_hi * lg_hi))
-    h2 = float(np.sum(b_hi * lg_hi * lg_hi))
-    hz = float(np.sum(b_hi * (lg_hi - z) ** 2))
+    h0 = float(total(b_hi))
+    h1 = float(total(b_hi * lg_hi))
+    h2 = float(total(b_hi * lg_hi * lg_hi))
+    hz = float(total(b_hi * (lg_hi - z) ** 2))
     L2 = cap_l * cap_l
     m2ad = float(M) ** (-2.0 * a * d)
     m2d = float(M) ** (-2.0 * d)
@@ -442,11 +443,9 @@ def test_streamed_s_sums_match_whole_tail(big_table, M, a, delta):
 
 def test_s_sums_memory_stays_at_block_size(big_table):
     # The taper sums use two buffers a block long (1 MiB each), not M long:
-    # one pass over the whole tail peaks at 15 MiB here.  The memo is
-    # cleared so that every block is summed.
+    # one pass over the whole tail peaks at 15 MiB here.
     p = MollifierParams(1_000_000, 0.3, 0.05)
     big_table.base_vector(p.delta)
-    mollifier._tail_blocks.cache_clear()
     tracemalloc.start()
     try:
         s_sums(big_table, p)
@@ -457,36 +456,61 @@ def test_s_sums_memory_stays_at_block_size(big_table):
 
 
 def test_s_sums_memo_keeps_the_bits(big_table):
-    # A second a at the same (M, delta) adds the first query's block sums;
-    # it gets the bits of a query that sums every block itself.
-    M, d = 1_000_000, 0.05
-    memo = mollifier._tail_blocks
-    memo.cache_clear()
-    s_sums(big_table, MollifierParams(M, 0.3, d))
-    blocks = memo(M, d)
-    assert None not in blocks[1:]
-    warm = s_sums(big_table, MollifierParams(M, 0.6, d))
-    assert memo(M, d) is blocks and memo.cache_info().misses == 1
-    memo.cache_clear()
-    cold = s_sums(big_table, MollifierParams(M, 0.6, d))
+    # A query's bits do not depend on what came before it: cold, with the
+    # base vector and its moments built afresh, and after queries at other
+    # (M, a), at the same delta and others.
+    p = MollifierParams(1_000_000, 0.6, 0.05)
+    mollifier._base.cache_clear()
+    cold = s_sums(big_table, p)
+    for M, a, d in ((1_000_000, 0.3, 0.05), (300_000, 0.6, 0.05), (700_000, 0.5, 0.1)):
+        s_sums(big_table, MollifierParams(M, a, d))
+    warm = s_sums(big_table, p)
     assert [v.hex() for v in warm] == [v.hex() for v in cold]
 
 
-def test_s_sums_memo_is_bounded(big_table):
-    # The memo is keyed on the callers' (M, delta): a fifth pair evicts the
-    # least recently used, and the last four stay.
-    memo = mollifier._tail_blocks
-    memo.cache_clear()
-    pairs = [(M, d) for M in (200_000, 300_000, 400_000) for d in (0.05, 0.1)][:5]
-    for M, d in pairs:
-        s_sums(big_table, MollifierParams(M, 0.5, d))
-    assert memo.cache_info().currsize == 4
-    misses = memo.cache_info().misses
-    for M, d in pairs[1:]:
-        memo(M, d)
-    assert memo.cache_info().misses == misses
-    memo(*pairs[0])
-    assert memo.cache_info().misses == misses + 1
+@pytest.mark.parametrize("M", [2**18, 262_656, 1_000_000])
+@pytest.mark.parametrize("a, delta", [(0.3, 0.02), (0.5, 0.05), (0.7, 0.1)])
+def test_s_sums_block_moments_match_fsum(big_table, M, a, delta):
+    # The whole blocks of the tail come from their moments; the sums stay
+    # within 1e-14 of correctly rounded ones.
+    p = MollifierParams(M, a, delta)
+    got = s_sums(big_table, p)
+    for g, w in zip(got, _s_sums_whole(big_table, p, math.fsum)):
+        assert abs(g - w) <= 1e-14 * abs(w)
+
+
+def test_s_sums_same_bits_from_any_held_sieve(monkeypatch):
+    # A block's moments come from its own base values, so a table whose
+    # sieve was built at M and a view of a larger held sieve give the same
+    # bits; the larger sieve holds whole blocks where the smaller one ends
+    # short.
+    queries = [MollifierParams(M, a, 0.05) for M in (262_656, 1_000_000) for a in (0.3, 0.6)]
+    monkeypatch.setattr(mollifier, "_held", None)
+    views = [s_sums(ArithTable(1_200_000), p) for p in queries]
+    for p, view in zip(queries, views):
+        monkeypatch.setattr(mollifier, "_held", None)
+        built = s_sums(ArithTable(p.M), p)
+        assert mollifier._held.limit == p.M
+        assert [v.hex() for v in built] == [v.hex() for v in view]
+
+
+def test_s_sums_sums_at_most_two_blocks(big_table, monkeypatch):
+    # At a delta already held, a query sums directly only its first block
+    # and its last, partial one, however many blocks its tail spans.
+    calls = []
+    tail_block = mollifier._tail_block
+
+    def counted(*args):
+        calls.append(args[2:4])
+        return tail_block(*args)
+
+    big_table.base_vector(0.05)
+    monkeypatch.setattr(mollifier, "_tail_block", counted)
+    for M, a in ((2**18 + 1, 0.3), (2**19, 0.5), (987_654, 0.6), (1_000_000, 0.3)):
+        calls.clear()
+        s_sums(big_table, MollifierParams(M, a, 0.05))
+        assert 1 <= len(calls) <= 2
+    assert calls[-1] == (7 * 2**17 + 1, 1_000_001)
 
 
 def test_s_sums_independent_of_t(table):
