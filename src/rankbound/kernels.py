@@ -28,7 +28,7 @@ from .quadrature import (
     integrate_measure,
     integrate_measure_with_err,
 )
-from .special import exp_e, exp_e1, exp_e_by_quadrature
+from .special import _tail_by_quadrature, exp_e, exp_e1
 
 __all__ = [
     "c_const",
@@ -192,12 +192,7 @@ def verify_lemma1(a: float, psi: Measure, tol: float = 1e-9) -> float:
     pref = a * a / ((1.0 - a) * (1.0 - a))
 
     def lhs_integrand(u: float) -> float:
-        fd = _big_f1(u) - big_f(a, u)
-        if fd == 0.0:
-            # Both F values underflowed; the transform factor grows like
-            # exp(u) and would overflow, so cut the product off here.
-            return 0.0
-        return fd * limits.laplace_deriv(psi, u + 0.5, tol)
+        return (_big_f1(u) - big_f(a, u)) * limits.laplace_deriv(psi, u + 0.5, tol)
 
     lhs = pref * integrate(lhs_integrand, IntegrationDomain(0.5), tol).value
     rhs = pref * integrate_measure(
@@ -235,12 +230,5 @@ def i_pm_by_quadrature(a: float, u: float, sign) -> float:
     """The defining tail integral, evaluated numerically in u-scaled variables:
     exp(-+u)/u times the integral over v >= 1 of exp(-(2/a -+ 1) u v) v^-2 dv."""
     sg = _tail_sign(a, u, sign)
-    r = (2.0 / a - sg) * u
-    if r >= 1.0:
-        base = integrate(
-            lambda v: math.exp(-r * v) / (v * v), IntegrationDomain(1.0), _I_PM_QUAD_TOL
-        ).value
-    else:
-        # sub-exponential decay: the integral is E(r), so use the E oracle
-        base = exp_e_by_quadrature(r, _I_PM_QUAD_TOL)
+    base = _tail_by_quadrature((2.0 / a - sg) * u, 1.0, _I_PM_QUAD_TOL)
     return math.exp(-sg * u) * base / u

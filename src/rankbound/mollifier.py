@@ -138,26 +138,19 @@ def _base(sieve: _Sieve, delta: float) -> tuple[np.ndarray, np.ndarray]:
     Row j of the moments is (c, P0, P1, P2) for block j, the k in
     (j 2**17, (j + 1) 2**17], for every j >= 1 with (j + 1) 2**17 <= limit:
     c = (j + 1/2) 2**17 is the block's midpoint and P_i the sum over the
-    block of base[k] u^i, with u = log(k / c) and so |u| <= log(3/2) < 0.41.
-    Row 0 is NaN, since block 0 always holds the first k of a tail, which
-    ``s_sums`` sums directly.  A row is summed from its own block's base
-    values alone, so any sieve that holds the whole block gives its bits.
+    block of base[k] u^i, with u = log(c / k) and so |u| <= log(3/2) < 0.41;
+    ``_tail_block`` sums them.  Row 0 is NaN, since block 0 always holds the
+    first k of a tail, which ``s_sums`` sums directly.  A row is summed from
+    its own block's base values alone, so any sieve that holds the whole
+    block gives its bits.
     """
     factors = 1.0 / (_prime_pows(sieve.primes, 1.0 + 2.0 * delta) - 1.0)
     vec = _multiply_in(np.square(sieve.mu, dtype=float), sieve.primes, factors)
     moments = np.full((sieve.limit // _BLOCK, 4), math.nan)
-    prod = np.empty(_BLOCK)
+    buf = np.empty(_BLOCK)
     for j in range(1, len(moments)):
-        lo = j * _BLOCK + 1
         c = (j + 0.5) * _BLOCK
-        b = vec[lo : lo + _BLOCK]
-        u = np.arange(lo, lo + _BLOCK, dtype=float)
-        u /= c
-        np.log(u, out=u)
-        np.multiply(b, u, out=prod)
-        p1 = float(np.sum(prod))
-        prod *= u
-        moments[j] = c, float(np.sum(b)), p1, float(np.sum(prod))
+        moments[j] = c, *_tail_block(vec, c, j * _BLOCK + 1, (j + 1) * _BLOCK + 1, 0.0, buf)[:3]
     for arr in (vec, moments):
         arr.flags.writeable = False
     return vec, moments
@@ -272,7 +265,7 @@ def y_k_bruteforce(table: ArithTable, k: int, p: MollifierParams) -> complex:
 
 
 def _tail_block(
-    base: np.ndarray, m: int, lo: int, hi: int, z: float, buf: np.ndarray
+    base: np.ndarray, m: float, lo: int, hi: int, z: float, buf: np.ndarray
 ) -> tuple[float, float, float, float]:
     """The sums over lo <= k < hi of b, b lg, b lg lg and b (lg - z)^2, with
     b = base[k] and lg = log(m / k), in one new buffer of logs and the
@@ -312,11 +305,11 @@ def s_sums(table: ArithTable, p: MollifierParams) -> SSums:
     M <= 2**17 the tail is one block and the arithmetic is that of one pass
     over the whole tail.  Every whole block between them comes from the
     moments that ``_base`` keeps, which do not depend on M: with c the
-    block's midpoint, u = log(k / c) and D = log(M / c), the taper log is
-    log(M / k) = D - u, so the block's four sums are
+    block's midpoint, u = log(c / k) and D = log(M / c), the taper log is
+    log(M / k) = D + u, so the block's four sums are
 
-        h0 = P0,  h1 = D P0 - P1,  h2 = D^2 P0 - 2 D P1 + P2,
-        hz = w^2 P0 - 2 w P1 + P2 with w = D - z,
+        h0 = P0,  h1 = D P0 + P1,  h2 = D^2 P0 + 2 D P1 + P2,
+        hz = w^2 P0 + 2 w P1 + P2 with w = D - z,
 
     where P_i sums base[k] u^i.  Since |u| <= 0.41, no term cancels.  A
     query thus costs two blocks and a few operations per whole block,
@@ -325,7 +318,7 @@ def s_sums(table: ArithTable, p: MollifierParams) -> SSums:
     M, a, d = p.M, p.a, p.delta
     table.check_n(M)
     zeta, zeta_p = zeta_vals(d)
-    base = table.base_vector(d)
+    base, moments = _base(table._sieve, d)
     # k <= M^a is the prefix k = 1 .. n_lo; the taper logs live on the rest.
     n_lo = math.floor(float(M) ** a)
     cap_l = (1.0 - a) * math.log(M)
@@ -340,13 +333,13 @@ def s_sums(table: ArithTable, p: MollifierParams) -> SSums:
     buf = np.empty(min(_BLOCK, M - n_lo))
     h0, h1, h2, hz = _tail_block(base, M, n_lo + 1, first + 1, z, buf)
     if first < last:
-        c, p0, p1, p2 = _base(table._sieve, d)[1][first // _BLOCK : last // _BLOCK].T
+        c, p0, p1, p2 = moments[first // _BLOCK : last // _BLOCK].T
         D = np.log(M / c)
         w = D - z
         h0 += float(np.sum(p0))
-        h1 += float(np.sum(D * p0 - p1))
-        h2 += float(np.sum(D * (D * p0 - 2.0 * p1) + p2))
-        hz += float(np.sum(w * (w * p0 - 2.0 * p1) + p2))
+        h1 += float(np.sum(D * p0 + p1))
+        h2 += float(np.sum(D * (D * p0 + 2.0 * p1) + p2))
+        hz += float(np.sum(w * (w * p0 + 2.0 * p1) + p2))
     if last < M:
         s0, s1, s2, sz = _tail_block(base, M, last + 1, M + 1, z, buf)
         h0 += s0

@@ -104,6 +104,19 @@ def exp_e_by_quadrature(x: float, tol: float = 1e-12) -> float:
     return integrate(g, IntegrationDomain(0.0, 1.0), tol).value
 
 
+def _tail_by_quadrature(r: float, lo: float, tol: float) -> float:
+    """The integral over t >= lo of exp(-r t) / t^2, for r > 0 and lo > 0.
+
+    The literal ray is integrated when the decay rate allows the log map
+    (r >= 1); otherwise t = lo s makes it E(lo r) / lo, and
+    :func:`exp_e_by_quadrature` takes the defining integral of E onto (0, 1]
+    with no decay requirement.
+    """
+    if r >= 1.0:
+        return integrate(lambda t: math.exp(-r * t) / (t * t), IntegrationDomain(lo), tol).value
+    return exp_e_by_quadrature(lo * r, tol) / lo
+
+
 # Absolute tolerance of the defining-integral E1.
 _E1_QUAD_TOL = 1e-12
 
@@ -128,13 +141,10 @@ def verify_e_identities(a: float, b: float, x: float, tol: float = DEFAULT_TOL) 
              valid when b > a.
 
     Left sides are evaluated by quadrature, right sides by the fast E path;
-    the return value is the larger of the two absolute differences.  For the
-    first identity the literal ray is integrated when the decay rate allows
-    the log map (rate >= 1); otherwise t = 2u makes it twice the defining
-    integral of E((2/a - x)/2), which :func:`exp_e_by_quadrature` takes onto
-    (0, 1] with no decay requirement.  The second identity always goes
-    through w = 1/u for the same reason: its integrand decays like
-    exp(-(b - a) u) and b - a may be small.
+    the return value is the larger of the two absolute differences.  The
+    first left side is :func:`_tail_by_quadrature` from 1/2.  The second
+    always goes through w = 1/u: its integrand decays like exp(-(b - a) u)
+    and b - a may be small.
     """
     if a <= 0.0:
         raise ValueError("need a > 0")
@@ -144,17 +154,10 @@ def verify_e_identities(a: float, b: float, x: float, tol: float = DEFAULT_TOL) 
     if r <= 0.0:
         raise ValueError("need 2/a - x > 0")
 
-    if r >= 1.0:
-        lhs1 = integrate(
-            lambda u: math.exp(-r * u) / (u * u), IntegrationDomain(0.5), tol
-        ).value
-    else:
-        lhs1 = 2.0 * exp_e_by_quadrature(0.5 * r, tol)
+    lhs1 = _tail_by_quadrature(r, 0.5, tol)
     rhs1 = 2.0 * exp_e(0.5 * r)
 
     def f2(w: float) -> float:
-        if w <= 0.0:
-            return 0.0
         ev = exp_e(b / w)
         if ev == 0.0:
             return 0.0

@@ -468,11 +468,12 @@ def test_s_sums_memo_keeps_the_bits(big_table):
     assert [v.hex() for v in warm] == [v.hex() for v in cold]
 
 
-@pytest.mark.parametrize("M", [2**18, 262_656, 1_000_000])
+@pytest.mark.parametrize("M", [2**17 + 1, 2**18, 262_656, 1_000_000])
 @pytest.mark.parametrize("a, delta", [(0.3, 0.02), (0.5, 0.05), (0.7, 0.1)])
 def test_s_sums_block_moments_match_fsum(big_table, M, a, delta):
     # The whole blocks of the tail come from their moments; the sums stay
-    # within 1e-14 of correctly rounded ones.
+    # within 1e-14 of correctly rounded ones.  2**17 + 1 ends in a block of
+    # one entry, and 2**18 in a full block.
     p = MollifierParams(M, a, delta)
     got = s_sums(big_table, p)
     for g, w in zip(got, _s_sums_whole(big_table, p, math.fsum)):
@@ -537,6 +538,9 @@ def test_truncated_zeta_identity(table):
     assert resid <= 10.0 * scale
     with pytest.raises(ValueError):
         truncated_zeta_check(table, 5000.0, 0.05)  # integer M' excluded
+    for bad in (1.0, 0.5, math.nan):
+        with pytest.raises(ValueError, match="M' must exceed 1"):
+            truncated_zeta_check(table, bad, 0.05)
 
 
 def test_truncated_zeta_check_rejects_delta_before_building(table):

@@ -1,6 +1,8 @@
 """Tail integral E and exponential integral E1, against quadrature oracles."""
 
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -147,6 +149,38 @@ def test_identities_domain():
         verify_e_identities(1.0, 4.0, 2.0)  # 2/a - x = 0
     with pytest.raises(ValueError):
         verify_e_identities(0.5, 0.5, 0.1)  # needs b > a
+    for a in (0.0, -1.0):
+        with pytest.raises(ValueError, match="need a > 0"):
+            verify_e_identities(a, 4.0, 0.5)
+
+
+# sha256 of float.hex over the grid of test_e_tail_quadrature_bits.
+E_TAIL_GRID_SHA256 = "91500b7cfb8494c8d70f684338a86b1f1069fab160b81cdc7460b3754512e35a"
+
+
+def test_e_tail_quadrature_bits():
+    # The quadrature sides of the E identities and of the tails I+-, with the
+    # decay rate r on both sides of 1 (the ray, and the rewrite onto E), and
+    # for the second identity b both close to a and far from it.  The CLI
+    # prints only the worst residual, so its reference outputs pin neither.
+    rng = random.Random(40)
+    rates, out = [], []
+    for _ in range(60):
+        a = rng.uniform(0.2, 1.5)
+        r = rng.uniform(0.1, 4.0)
+        b = a + (rng.uniform(0.01, 0.1) if rng.random() < 0.5 else rng.uniform(0.1, 4.0))
+        x = 2.0 / a - r
+        rates.append(2.0 / a - x)
+        out.append(verify_e_identities(a, b, x).hex())
+    for _ in range(60):
+        a = rng.uniform(0.05, 0.95)
+        u = math.exp(rng.uniform(math.log(0.01), math.log(5.0)))
+        sign = rng.choice("+-")
+        rates.append((2.0 / a - (1.0 if sign == "+" else -1.0)) * u)
+        out.append(i_pm_by_quadrature(a, u, sign).hex())
+    for part in (rates[:60], rates[60:]):
+        assert min(part) < 1.0 <= max(part)
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == E_TAIL_GRID_SHA256
 
 
 @given(
